@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -22,6 +23,10 @@ EXIT_IO = 3
 
 
 class CliIOError(Exception):
+    pass
+
+
+class CliUsageError(Exception):
     pass
 
 
@@ -42,7 +47,14 @@ def _write_atomic(path: str, content: str) -> None:
         return
     target = Path(path)
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name + ".")
+        os.fchmod(fd, mode)  # mkstemp creates 0600; keep the target's (or umask's) mode
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(content)
         os.replace(tmp, path)
@@ -74,6 +86,14 @@ def _load_set(path: str) -> CaremapSet:
             print(_colorize(d.render(), d.severity.value), file=sys.stderr)
         raise CliIOError(f"{path}: parse failed")
     return result.set
+
+
+def _load_entry_set(args) -> CaremapSet:
+    """Load args.file and check that it holds the caremap named by --entry."""
+    cmset = _load_set(args.file)
+    if not cmset.has_caremap(args.entry):
+        raise CliUsageError(f"no caremap {args.entry!r} in {args.file}")
+    return cmset
 
 
 # --- subcommands ------------------------------------------------------------
@@ -153,7 +173,7 @@ def cmd_paths(args) -> int:
 
 
 def cmd_conform(args) -> int:
-    cmset = _load_set(args.file)
+    cmset = _load_entry_set(args)
     traces, load_errors = conformance.load_traces(_read_input(args.traces))
     conformance.check_labels(cmset, traces)
     summary = conformance.batch_conform(
@@ -184,35 +204,25 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _synth_chunk(stm, seed, start, stop):
-    return [
-        conformance.trace_to_json(synthesis.generate_one(stm, seed, i))
-        for i in range(start, stop)
-    ]
+def _synth_chunk(stm, seed, indices):
+    return [conformance.trace_to_json(synthesis.generate_one(stm, seed, i)) for i in indices]
 
 
 def cmd_synth(args) -> int:
-    cmset = _load_set(args.file)
+    cmset = _load_entry_set(args)
     model = synthesis.model_from_json(_read_input(args.model))
     stm = synthesis.compile_stm(cmset, args.entry, model)
     lines = [synthesis.provenance_header(stm, args.seed)]
-    if args.workers > 1 and args.count > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = (args.count + args.workers - 1) // args.workers
-        bounds = [(i, min(i + chunk, args.count)) for i in range(0, args.count, chunk)]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_synth_chunk, stm, args.seed, a, b) for a, b in bounds]
-            for fut in futures:
-                lines.extend(fut.result())
-    else:
-        lines.extend(_synth_chunk(stm, args.seed, 0, args.count))
+    for chunk in conformance.map_chunks(
+        _synth_chunk, range(args.count), args.workers, stm, args.seed
+    ):
+        lines.extend(chunk)
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_synth_check(args) -> int:
-    cmset = _load_set(args.file)
+    cmset = _load_entry_set(args)
     model = synthesis.model_from_json(_read_input(args.model))
     stm = synthesis.compile_stm(cmset, args.entry, model)
     if args.traces:
@@ -309,6 +319,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CliUsageError as e:
+        print(str(e), file=sys.stderr)
+        return EXIT_USAGE
     except CliIOError as e:
         print(str(e), file=sys.stderr)
         return EXIT_IO

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Sequence, Union
 
 from tasc import criteria as C
 from tasc.model import (
@@ -258,11 +260,7 @@ class _Replayer:
                 return [here] + rest if rest is not None else None
             if self.skip_obs(i) == len(self.events):
                 return [here]
-            links = sorted(
-                (l for l in self.cmset.links
-                 if l.from_caremap == cm.id and l.from_exit_node == node_id),
-                key=lambda l: (l.to_caremap, l.to_entry_node),
-            )
+            links = self.cmset.links_from(cm.id, node_id)
             for link in links:
                 target = self.cmset.caremap(link.to_caremap)
                 rest = self.search(target, link.to_entry_node, i, stack)
@@ -466,6 +464,23 @@ class BatchSummary:
         }
 
 
+def map_chunks(fn: Callable, items: Sequence, workers: int, *args) -> list:
+    """Return [fn(*args, chunk) for each contiguous chunk of items], in chunk order.
+
+    items is split into min(workers, len(items), CPU count) chunks. One chunk
+    runs in this process; more run on a process pool with one worker each.
+    """
+    k = min(workers, len(items), os.cpu_count() or 1)
+    if k <= 1:
+        return [fn(*args, items)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [len(items) * i // k for i in range(k + 1)]
+    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=k) as pool:
+        return list(pool.map(partial(fn, *args), chunks))
+
+
 def _chunk_counts(
     cmset: CaremapSet, entry_caremap: str, traces: list[PatientTrace]
 ) -> tuple[dict[str, int], dict[str, int]]:
@@ -490,24 +505,13 @@ def batch_conform(
     workers: int = 1,
 ) -> BatchSummary:
     ordered = sorted(traces, key=lambda t: t.trace_id)
-    if workers > 1 and len(ordered) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = (len(ordered) + workers - 1) // workers
-        parts = [ordered[i:i + chunk] for i in range(0, len(ordered), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_chunk_counts, [cmset] * len(parts), [entry_caremap] * len(parts), parts)
-            )
-        counts = {"Conformant": 0, "NonConformant": 0, "Undetermined": 0}
-        divergence_counts: dict[str, int] = {}
-        for c, d in results:
-            for k, v in c.items():
-                counts[k] += v
-            for k, v in d.items():
-                divergence_counts[k] = divergence_counts.get(k, 0) + v
-    else:
-        counts, divergence_counts = _chunk_counts(cmset, entry_caremap, ordered)
+    counts = {"Conformant": 0, "NonConformant": 0, "Undetermined": 0}
+    divergence_counts: dict[str, int] = {}
+    for c, d in map_chunks(_chunk_counts, ordered, workers, cmset, entry_caremap):
+        for k, v in c.items():
+            counts[k] += v
+        for k, v in d.items():
+            divergence_counts[k] = divergence_counts.get(k, 0) + v
     top = sorted(divergence_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
     return BatchSummary(
         n=len(traces),

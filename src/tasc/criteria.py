@@ -113,6 +113,10 @@ def register_predicate(name: str, fn: PredicateFn) -> None:
     _PREDICATES[name] = fn
 
 
+def has_predicate(name: str) -> bool:
+    return name in _PREDICATES
+
+
 def _consecutive_above(binding: Binding, args: tuple[Literal, ...]) -> bool:
     threshold, n = float(args[0]), int(args[1])
     run = 0

@@ -1,4 +1,4 @@
-"""Text format for caremap sets: lexer, parser, canonical serializer, JSON export.
+"""Text format for caremap sets: lexer, parser, canonical serializer.
 
 Files use the `.tasc` extension, UTF-8, `#` line comments. A file holds any
 number of `caremap "<id>" { ... }` blocks plus top-level `link` statements
@@ -6,7 +6,6 @@ joining an exit of one caremap to the entry of another.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -626,6 +625,12 @@ class Parser:
                     self._next()
                     args.append(self._parse_literal())
             self._expect_symbol(")")
+            if not C.has_predicate(name_tok.text):
+                self._error("E-UNDEF", f"unknown predicate {name_tok.text!r}", name_tok)
+            elif not args:
+                self._error(
+                    "E-UNDEF", f"predicate {name_tok.text!r} needs a variable argument", name_tok
+                )
             return C.Predicate(name_tok.text, tuple(args))
         if self._at_word("in"):
             self._next()
@@ -763,16 +768,6 @@ def parse_or_raise(text: str, filename: str = "<input>") -> CaremapSet:
 
 # --- canonical serializer ---------------------------------------------------
 
-_KIND_ORDER = {
-    NodeKind.ENTRY_POINT: 0,
-    NodeKind.EXIT_POINT: 1,
-    NodeKind.EXCLUSION_POINT: 2,
-    NodeKind.ACTIVITY: 3,
-    NodeKind.NESTED_ACTIVITY: 4,
-    NodeKind.DECISION: 5,
-    NodeKind.NESTED_DECISION: 6,
-}
-
 _KIND_SYNTAX = {
     NodeKind.ENTRY_POINT: "entry",
     NodeKind.EXIT_POINT: "exit",
@@ -822,9 +817,12 @@ def _edge_line(e: Edge) -> str:
 
 
 def serialize(cmset: CaremapSet) -> str:
-    """Canonical text form: stable ordering, fixed indentation, idempotent."""
+    """Canonical text form: stable ordering, fixed indentation, idempotent.
+
+    Caremaps, nodes, edges and links are already stored in canonical order.
+    """
     lines: list[str] = []
-    for cm in sorted(cmset.caremaps, key=lambda c: c.id):
+    for cm in cmset.caremaps:
         lines.append(f"caremap {_quote(cm.id)} {{")
         if cm.title:
             lines.append(f"  title {_quote(cm.title)};")
@@ -840,16 +838,13 @@ def serialize(cmset: CaremapSet) -> str:
             lines.append("  evidence " + ", ".join(_quote(r) for r in cm.evidence_refs) + ";")
         if cm.variance_log_ref:
             lines.append(f"  variance_log {_quote(cm.variance_log_ref)};")
-        for n in sorted(cm.nodes, key=lambda n: (_KIND_ORDER[n.kind], n.id)):
+        for n in cm.nodes:
             lines.append("  " + _node_line(n))
-        for e in sorted(cm.edges, key=lambda e: e.id):
+        for e in cm.edges:
             lines.append("  " + _edge_line(e))
         lines.append("}")
         lines.append("")
-    for link in sorted(
-        cmset.links,
-        key=lambda l: (l.from_caremap, l.from_exit_node, l.to_caremap, l.to_entry_node),
-    ):
+    for link in cmset.links:
         lines.append(
             f"link {link.from_caremap}.{link.from_exit_node} -> "
             f"{link.to_caremap}.{link.to_entry_node};"
@@ -857,75 +852,3 @@ def serialize(cmset: CaremapSet) -> str:
     if lines and lines[-1] == "":
         lines.pop()
     return "\n".join(lines) + "\n"
-
-
-# --- JSON export ------------------------------------------------------------
-
-
-def _node_json(n: Node) -> dict:
-    out: dict = {"id": n.id, "kind": n.kind.value, "label": n.label}
-    if n.content_type:
-        out["content_type"] = n.content_type.value
-    if n.activity_class is not None:
-        if isinstance(n.activity_class, ActivityClass):
-            out["activity_class"] = n.activity_class.value
-        else:
-            out["activity_class"] = {"other": n.activity_class}
-    if n.aspect:
-        out["aspect"] = n.aspect.value
-    if n.nested_ref:
-        out["nested_ref"] = n.nested_ref
-    if n.duration:
-        out["duration"] = {"unit": n.duration.unit, "value": n.duration.value}
-    if n.annotation:
-        out["annotation"] = n.annotation
-    return out
-
-
-def _edge_json(e: Edge) -> dict:
-    out: dict = {"id": e.id, "from": e.from_id, "to": e.to_id}
-    if isinstance(e.criterion, C.Otherwise):
-        out["otherwise"] = True
-    elif e.criterion is not None:
-        out["criterion"] = C.criterion_text(e.criterion)
-    if e.annotation:
-        out["annotation"] = e.annotation
-    return out
-
-
-def to_json(cmset: CaremapSet) -> str:
-    """Canonical JSON document (sorted keys, stable arrays), schema v1."""
-    doc = {
-        "tasc_schema": 1,
-        "caremaps": [
-            {
-                "id": cm.id,
-                "title": cm.title,
-                **({"scenario": cm.scenario} if cm.scenario else {}),
-                **({"date": cm.date} if cm.date else {}),
-                **({"version": cm.version} if cm.version is not None else {}),
-                **({"team": cm.team} if cm.team else {}),
-                **({"evidence_refs": list(cm.evidence_refs)} if cm.evidence_refs else {}),
-                **({"variance_log_ref": cm.variance_log_ref} if cm.variance_log_ref else {}),
-                "nodes": [
-                    _node_json(n)
-                    for n in sorted(cm.nodes, key=lambda n: (_KIND_ORDER[n.kind], n.id))
-                ],
-                "edges": [_edge_json(e) for e in sorted(cm.edges, key=lambda e: e.id)],
-            }
-            for cm in sorted(cmset.caremaps, key=lambda c: c.id)
-        ],
-        "links": [
-            {
-                "from_caremap": l.from_caremap,
-                "from_exit_node": l.from_exit_node,
-                "to_caremap": l.to_caremap,
-                "to_entry_node": l.to_entry_node,
-            }
-            for l in sorted(
-                cmset.links,
-                key=lambda l: (l.from_caremap, l.from_exit_node, l.to_caremap, l.to_entry_node),
-            )
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

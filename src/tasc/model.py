@@ -165,7 +165,7 @@ class Caremap:
     edges: tuple[Edge, ...] = ()
 
     _node_by_id: dict = field(default_factory=dict, compare=False, repr=False)
-    _out_edges: dict = field(default_factory=dict, compare=False, repr=False)
+    _successors: dict = field(default_factory=dict, compare=False, repr=False)
     _in_edges: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -181,7 +181,8 @@ class Caremap:
             if n.id in by_id:
                 raise ModelError(f"caremap {self.id!r}: duplicate node id {n.id!r}")
             by_id[n.id] = n
-        out: dict[str, list[Edge]] = {n.id: [] for n in self.nodes}
+        # edges are visited in id order, so every adjacency list stays sorted
+        succ: dict[str, list[tuple[Edge, Node]]] = {n.id: [] for n in self.nodes}
         inc: dict[str, list[Edge]] = {n.id: [] for n in self.nodes}
         edge_ids: set[str] = set()
         triples: set[tuple[str, str, str]] = set()
@@ -203,13 +204,10 @@ class Caremap:
                     f"caremap {self.id!r}: duplicate edge {e.from_id}->{e.to_id}"
                 )
             triples.add(triple)
-            out[e.from_id].append(e)
+            succ[e.from_id].append((e, by_id[e.to_id]))
             inc[e.to_id].append(e)
-        for k in out:
-            out[k].sort(key=lambda e: e.id)
-            inc[k].sort(key=lambda e: e.id)
         object.__setattr__(self, "_node_by_id", by_id)
-        object.__setattr__(self, "_out_edges", out)
+        object.__setattr__(self, "_successors", succ)
         object.__setattr__(self, "_in_edges", inc)
 
     def node(self, node_id: str) -> Node:
@@ -220,12 +218,6 @@ class Caremap:
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._node_by_id
-
-    def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(f"caremap {self.id!r} has no edge {edge_id!r}")
 
     def entry_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind is NodeKind.ENTRY_POINT]
@@ -249,6 +241,7 @@ class CaremapSet:
     links: tuple[MultiLevelLink, ...] = ()
 
     _by_id: dict = field(default_factory=dict, compare=False, repr=False)
+    _links_by_exit: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -269,7 +262,11 @@ class CaremapSet:
             if cm.id in by_id:
                 raise ModelError(f"duplicate caremap id {cm.id!r}")
             by_id[cm.id] = cm
+        by_exit: dict[tuple[str, str], list[MultiLevelLink]] = {}
+        for link in self.links:
+            by_exit.setdefault((link.from_caremap, link.from_exit_node), []).append(link)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_links_by_exit", by_exit)
 
     def caremap(self, caremap_id: str) -> Caremap:
         try:
@@ -279,6 +276,13 @@ class CaremapSet:
 
     def has_caremap(self, caremap_id: str) -> bool:
         return caremap_id in self._by_id
+
+    def links_from(self, caremap_id: str, exit_id: str) -> list[MultiLevelLink]:
+        """Links leaving one exit, in (to_caremap, to_entry_node) order.
+
+        Returns the stored list; callers must not mutate it.
+        """
+        return self._links_by_exit.get((caremap_id, exit_id), [])
 
 
 @dataclass(frozen=True)
@@ -362,9 +366,14 @@ def resolve_refs(cmset: CaremapSet) -> list[RefError]:
 
 
 def successors(caremap: Caremap, node_id: str) -> list[tuple[Edge, Node]]:
-    """Out-edges of a node with their target nodes, in edge-id order."""
-    caremap.node(node_id)
-    return [(e, caremap.node(e.to_id)) for e in caremap._out_edges[node_id]]
+    """Out-edges of a node with their target nodes, in edge-id order.
+
+    Returns the caremap's stored list; callers must not mutate it.
+    """
+    succ = caremap._successors.get(node_id)
+    if succ is None:
+        caremap.node(node_id)  # raises UnknownNode
+    return succ
 
 
 def enumerate_paths(

@@ -61,7 +61,7 @@ def _attr_text(attrs: dict[str, str]) -> str:
 def to_dot(cmset: CaremapSet, style: StyleProfile = MONO) -> str:
     """Render the set as one DOT digraph, a cluster per caremap; byte-stable."""
     lines = ["digraph caremaps {", "  rankdir=TB;", '  node [fontname="Helvetica"];']
-    for cm in sorted(cmset.caremaps, key=lambda c: c.id):
+    for cm in cmset.caremaps:
         lines.append(f"  subgraph cluster_{cm.id} {{")
         lines.append(f"    label={_q(cm.title or cm.id)};")
         for n in sorted(cm.nodes, key=lambda n: n.id):
@@ -69,7 +69,7 @@ def to_dot(cmset: CaremapSet, style: StyleProfile = MONO) -> str:
             if n.nested_ref:
                 attrs["tooltip"] = f"nested caremap: {n.nested_ref}"
             lines.append(f"    {_q(cm.id + '.' + n.id)} {_attr_text(attrs)};")
-        for e in sorted(cm.edges, key=lambda e: e.id):
+        for e in cm.edges:
             attrs: dict[str, str] = {}
             if isinstance(e.criterion, Otherwise):
                 attrs["label"] = "[otherwise]"
@@ -82,10 +82,7 @@ def to_dot(cmset: CaremapSet, style: StyleProfile = MONO) -> str:
                 f"    {_q(cm.id + '.' + e.from_id)} -> {_q(cm.id + '.' + e.to_id)}{tail};"
             )
         lines.append("  }")
-    for link in sorted(
-        cmset.links,
-        key=lambda l: (l.from_caremap, l.from_exit_node, l.to_caremap, l.to_entry_node),
-    ):
+    for link in cmset.links:
         lines.append(
             f"  {_q(link.from_caremap + '.' + link.from_exit_node)} -> "
             f"{_q(link.to_caremap + '.' + link.to_entry_node)} [style=\"dashed\"];"

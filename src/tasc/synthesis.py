@@ -110,19 +110,19 @@ class TransitionModel:
     emitters: tuple[tuple[str, tuple[Emitter, ...]], ...] = ()
     master_seed: int = 0
 
+    _mode_by_key: dict = field(default_factory=dict, compare=False, repr=False)
+    _emitters_by_key: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        # built from the reversed pairs so the first entry for a repeated key wins
+        object.__setattr__(self, "_mode_by_key", dict(reversed(self.branch_modes)))
+        object.__setattr__(self, "_emitters_by_key", dict(reversed(self.emitters)))
+
     def mode_for(self, caremap_id: str, node_id: str) -> Optional[BranchMode]:
-        key = f"{caremap_id}.{node_id}"
-        for k, v in self.branch_modes:
-            if k == key:
-                return v
-        return None
+        return self._mode_by_key.get(f"{caremap_id}.{node_id}")
 
     def emitters_for(self, caremap_id: str, node_id: str) -> tuple[Emitter, ...]:
-        key = f"{caremap_id}.{node_id}"
-        for k, v in self.emitters:
-            if k == key:
-                return v
-        return ()
+        return self._emitters_by_key.get(f"{caremap_id}.{node_id}", ())
 
 
 @dataclass(frozen=True)
@@ -316,9 +316,7 @@ def _reachable_caremaps(cmset: CaremapSet, entry: str) -> set[str]:
         for n in cm.nodes:
             if n.nested_ref:
                 stack.append(n.nested_ref)
-        for link in cmset.links:
-            if link.from_caremap == cur:
-                stack.append(link.to_caremap)
+            stack.extend(link.to_caremap for link in cmset.links_from(cur, n.id))
     return seen
 
 
@@ -340,11 +338,7 @@ def _check_escapable(cm: Caremap, model: TransitionModel) -> None:
 
 
 def _check_links(cmset: CaremapSet, cm: Caremap) -> None:
-    by_exit: dict[str, int] = {}
-    for link in cmset.links:
-        if link.from_caremap == cm.id:
-            by_exit[link.from_exit_node] = by_exit.get(link.from_exit_node, 0) + 1
-    ambiguous = sorted(e for e, c in by_exit.items() if c > 1)
+    ambiguous = sorted(n.id for n in cm.nodes if len(cmset.links_from(cm.id, n.id)) > 1)
     if ambiguous:
         raise CompileError(
             f"caremap {cm.id!r}: exits {ambiguous} have multiple outgoing links; "
@@ -401,7 +395,7 @@ def generate_one(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_C
                 cm = cmset.caremap(node.nested_ref)
                 node = cm.entry_nodes()[0]
                 continue
-            node = _choose_next(stm, cm, node.id, rng, bindings, events, at)
+            node, bindings = _choose_next(stm, cm, node.id, rng, bindings, events, at)
             continue
 
         if kind in (NodeKind.DECISION, NodeKind.NESTED_DECISION):
@@ -410,27 +404,23 @@ def generate_one(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_C
                 cm = cmset.caremap(node.nested_ref)
                 node = cm.entry_nodes()[0]
                 continue
-            node = _choose_next(stm, cm, node.id, rng, bindings, events, at)
+            node, bindings = _choose_next(stm, cm, node.id, rng, bindings, events, at)
             continue
 
         if kind is NodeKind.ENTRY_POINT:
-            node = _choose_next(stm, cm, node.id, rng, bindings, events, at)
+            node, bindings = _choose_next(stm, cm, node.id, rng, bindings, events, at)
             continue
 
         if kind is NodeKind.EXIT_POINT:
             if stack:
                 cm, resume_id = stack.pop()
-                node = _choose_next(stm, cm, resume_id, rng, bindings, events, at)
+                node, bindings = _choose_next(stm, cm, resume_id, rng, bindings, events, at)
                 continue
-            link = next(
-                (l for l in cmset.links
-                 if l.from_caremap == cm.id and l.from_exit_node == node.id),
-                None,
-            )
-            if link is None:
+            links = cmset.links_from(cm.id, node.id)
+            if not links:
                 break
-            cm = cmset.caremap(link.to_caremap)
-            node = cm.node(link.to_entry_node)
+            cm = cmset.caremap(links[0].to_caremap)
+            node = cm.node(links[0].to_entry_node)
             continue
 
         # exclusion point
@@ -440,9 +430,10 @@ def generate_one(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_C
 
 
 def _choose_next(stm, cm, node_id, rng, bindings, events, at):
+    """Pick the successor of node_id; returns (next node, bindings after any sample)."""
     succ = successors(cm, node_id)
     if len(succ) == 1:
-        return succ[0][1]
+        return succ[0][1], bindings
     mode = stm.model.mode_for(cm.id, node_id)
     node = cm.node(node_id)
     if isinstance(mode, EdgeProbabilities):
@@ -451,17 +442,15 @@ def _choose_next(stm, cm, node_id, rng, bindings, events, at):
         chosen = rng.choices(edge_ids, weights=weights, k=1)[0]
         if node.kind in DECISION_KINDS:
             events.append(BranchTaken(node_id, chosen))
-        return next(n for e, n in succ if e.id == chosen)
+        return next(n for e, n in succ if e.id == chosen), bindings
     if isinstance(mode, VariableSampler):
         value = _sample(mode.dist, rng)
         events.append(Observation(mode.var, value, mode.unit, at))
-        new_bindings = C.bind(bindings, mode.var, value, mode.unit)
-        bindings.clear()
-        bindings.update(new_bindings)
+        bindings = C.bind(bindings, mode.var, value, mode.unit)
         branches = [(e.id, e.criterion) for e, _ in succ]
         selection = C.select_branch(branches, bindings)
         assert isinstance(selection, C.Chosen), "compile guarantees decidability"
-        return next(n for e, n in succ if e.id == selection.edge_id)
+        return next(n for e, n in succ if e.id == selection.edge_id), bindings
     raise MissingAnnotation(f"{cm.id}.{node_id}")
 
 

@@ -13,7 +13,6 @@ Warning codes (advisory; promoted to errors in strict mode):
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -58,7 +57,6 @@ class Diagnostic:
 @dataclass
 class ValidatorConfig:
     strict: bool = False  # promote warnings to errors
-    allow_multiple_entries: bool = False  # relax S1 to >=1 entries with a warning
 
 
 def _sort_key(d: Diagnostic):
@@ -70,7 +68,7 @@ def validate(cmset: CaremapSet, config: ValidatorConfig | None = None) -> list[D
     config = config or ValidatorConfig()
     out: list[Diagnostic] = []
     for cm in cmset.caremaps:
-        out.extend(_structural(cm, config))
+        out.extend(_structural(cm))
         out.extend(content_lint(cm))
         out.extend(lifecycle_lint(cm))
     out.extend(_set_rules(cmset))
@@ -89,15 +87,7 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == "error" for d in diagnostics)
 
 
-def render_text(diagnostics: list[Diagnostic]) -> str:
-    return "\n".join(d.render() for d in diagnostics)
-
-
-def render_json(diagnostics: list[Diagnostic]) -> str:
-    return json.dumps([d.as_dict() for d in diagnostics], sort_keys=True, indent=2) + "\n"
-
-
-def _structural(cm: Caremap, config: ValidatorConfig) -> list[Diagnostic]:
+def _structural(cm: Caremap) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     entries = [n for n in cm.nodes if n.kind is NodeKind.ENTRY_POINT]
     exits = [n for n in cm.nodes if n.kind is NodeKind.EXIT_POINT]
@@ -106,14 +96,7 @@ def _structural(cm: Caremap, config: ValidatorConfig) -> list[Diagnostic]:
         out.append(Diagnostic("S1", "error", cm.id, (cm.id,), "caremap has no entry point"))
     elif len(entries) > 1:
         ids = tuple(sorted(n.id for n in entries))
-        if config.allow_multiple_entries:
-            out.append(
-                Diagnostic("S1", "warning", cm.id, ids, "caremap has multiple entry points")
-            )
-        else:
-            out.append(
-                Diagnostic("S1", "error", cm.id, ids, "caremap has multiple entry points")
-            )
+        out.append(Diagnostic("S1", "error", cm.id, ids, "caremap has multiple entry points"))
     if not exits:
         out.append(Diagnostic("S2", "error", cm.id, (cm.id,), "caremap has no exit point"))
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,28 @@ def labour_set():
 @pytest.fixture(scope="session")
 def labour_counts_text():
     return (CORPUS / "labour_birth_counts.csv").read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool with one that runs calls inline.
+
+    Returns the list of max_workers values the code under test asked for.
+    """
+    requested: list[int] = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return requested

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 import subprocess
+import sys
 import time
 
 import pytest
@@ -199,7 +200,7 @@ def test_acceptance_6_determinism(tmp_path, labour_set, labour_counts_text):
         out = tmp_path / f"{name}.jsonl"
         proc = subprocess.run(
             [
-                "tasc", "synth", caremaps, "--model", str(model_path),
+                sys.executable, "-m", "tasc", "synth", caremaps, "--model", str(model_path),
                 "--entry", "labour_birth", "-n", "10000", "--seed", "7",
                 "--out", str(out), "--workers", workers,
             ],

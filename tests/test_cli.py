@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import stat
 
 import pytest
 
 from tasc import dsl
-from tasc.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, main
+from tasc.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from tasc.render import check_dot
 
 from conftest import CORPUS, FIXTURES
@@ -159,6 +161,49 @@ def test_synth_workers_byte_identical(model_path, tmp_path):
         ) == EXIT_OK
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_synth_workers_capped_at_trace_count(model_path, tmp_path, inline_pool):
+    outputs = []
+    for workers in ("1", "64"):
+        out = tmp_path / f"w{workers}.jsonl"
+        assert run(
+            "synth", LABOUR, "--model", model_path, "--entry", "labour_birth",
+            "-n", "3", "--seed", "3", "--out", str(out), "--workers", workers,
+        ) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    cap = min(3, os.cpu_count() or 1)
+    assert inline_pool == ([cap] if cap > 1 else [])
+
+
+@pytest.mark.parametrize("command", ["conform", "synth", "synth-check"])
+def test_unknown_entry_exit_two(command, model_path, tmp_path, capsys):
+    traces = tmp_path / "t.jsonl"
+    traces.write_text(json.dumps({"trace_id": "x", "events": []}) + "\n", encoding="utf-8")
+    extra = {
+        "conform": ["--traces", str(traces)],
+        "synth": ["--model", model_path, "-n", "1", "--seed", "0", "--out", str(tmp_path / "o")],
+        "synth-check": ["--model", model_path, "--traces", str(traces)],
+    }[command]
+    assert run(command, LABOUR, "--entry", "nope", *extra) == EXIT_USAGE
+    assert "no caremap 'nope'" in capsys.readouterr().err
+
+
+def test_written_files_keep_mode(tmp_path):
+    old_umask = os.umask(0o022)
+    try:
+        dot = tmp_path / "new.dot"
+        assert run("render", GDM, "--out", str(dot)) == EXIT_OK
+        assert stat.S_IMODE(dot.stat().st_mode) == 0o644
+        src = tmp_path / "m.tasc"
+        src.write_text('caremap "m" {  entry s; exit e; s -> e; }\n', encoding="utf-8")
+        src.chmod(0o640)
+        assert run("fmt", str(src)) == EXIT_OK
+        assert src.read_text(encoding="utf-8").startswith('caremap "m" {\n')
+        assert stat.S_IMODE(src.stat().st_mode) == 0o640
+    finally:
+        os.umask(old_umask)
 
 
 def test_synth_check_within_tolerance(model_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -15,6 +16,7 @@ from tasc.conformance import (
     check_labels,
     load_traces,
     replay,
+    replay_with_edges,
     trace_from_json,
     trace_to_json,
 )
@@ -184,6 +186,20 @@ def test_link_traversal_across_caremaps(gdm_set):
     assert report.matched_path[-1] == "gdm_excluded"
 
 
+def test_links_from_one_exit_tried_in_target_order():
+    # declared c before b; replay must still try b first
+    cmset = dsl.parse_or_raise(
+        'caremap "a" { entry s; exit e; activity x "X"; s -> x; x -> e; }\n'
+        'caremap "b" { entry s; exit e; activity y "Y"; s -> y; y -> e; }\n'
+        'caremap "c" { entry s; exit e; activity y "Y"; s -> y; y -> e; }\n'
+        "link a.e -> c.s;\nlink a.e -> b.s;"
+    )
+    assert [l.to_caremap for l in cmset.links_from("a", "e")] == ["b", "c"]
+    report, edges = replay_with_edges(cmset, "a", T("t", ActivityDone("x"), ActivityDone("y")))
+    assert report.status == "Conformant"
+    assert ("b", "s->y") in edges and ("c", "s->y") not in edges
+
+
 def test_exclusion_terminates(gdm_set):
     events = (
         ActivityDone("review"),
@@ -310,3 +326,16 @@ def test_batch_workers_agree():
     serial = batch_conform(cmset, "m", traces, workers=1)
     parallel = batch_conform(cmset, "m", traces, workers=4)
     assert serial == parallel
+
+
+def test_batch_workers_capped_at_trace_count(inline_pool):
+    cmset = dsl.parse_or_raise(DECIDER)
+    traces = [
+        T(f"t{i}", Observation("glucose", 6.0 + 2 * i, "mmol/L"), ActivityDone("a"))
+        for i in range(3)
+    ]
+    serial = batch_conform(cmset, "m", traces, workers=1)
+    assert inline_pool == []
+    assert batch_conform(cmset, "m", traces, workers=64) == serial
+    cap = min(3, os.cpu_count() or 1)
+    assert inline_pool == ([cap] if cap > 1 else [])

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
 
 from tasc import dsl
 from tasc.criteria import Comparison, Otherwise
-from tasc.dsl import Severity, parse, parse_or_raise, serialize, to_json
+from tasc.dsl import Severity, parse, parse_or_raise, serialize
 from tasc.model import NodeKind
 
 
@@ -43,6 +42,19 @@ def test_undeclared_node_reference():
     diag = next(d for d in result.diagnostics if d.code == "E-UNDEF")
     assert diag.span.line == 1
     assert diag.span.column >= 1
+
+
+@pytest.mark.parametrize(
+    "criterion", ["foo(x, 1)", "consecutive_above()"], ids=["unregistered", "no-args"]
+)
+def test_bad_predicate_is_parse_error(criterion):
+    result = parse(
+        'caremap "m" { entry s; exit e; exit f; decision d "D?"; s -> d; '
+        f"d -> e when {criterion}; d -> f otherwise; }}"
+    )
+    assert result.set is None
+    assert [d.code for d in result.diagnostics] == ["E-UNDEF"]
+    assert result.diagnostics[0].span.column > 1
 
 
 def test_multiple_errors_reported_with_spans():
@@ -171,24 +183,6 @@ def test_all_twelve_elements_roundtrip(elements_set):
     assert elements_set.links  # element 12
     reparsed = parse_or_raise(serialize(elements_set))
     assert reparsed == elements_set
-
-
-def test_to_json_minimal():
-    cmset = parse_or_raise('caremap "m" { entry s; exit e; s -> e; }')
-    doc = json.loads(to_json(cmset))
-    assert doc["tasc_schema"] == 1
-    assert len(doc["caremaps"]) == 1
-    assert len(doc["caremaps"][0]["nodes"]) == 2
-
-
-def test_to_json_gdm_links(gdm_set):
-    doc = json.loads(to_json(gdm_set))
-    assert len(doc["caremaps"]) == 3
-    assert len(doc["links"]) == 2
-
-
-def test_to_json_deterministic(gdm_set):
-    assert to_json(gdm_set) == to_json(gdm_set)
 
 
 def test_parse_failure_raises():

@@ -59,6 +59,20 @@ def test_successors_unknown_node():
         successors(cm, "nope")
 
 
+def test_successors_returns_stored_list():
+    cm = _set(MINIMAL).caremap("m")
+    assert successors(cm, "s") is successors(cm, "s")
+    [(edge, target)] = successors(cm, "s")
+    assert (edge.id, target.id) == ("s->e", "e")
+
+
+def test_links_from_unknown_exit_is_empty(gdm_set):
+    assert gdm_set.links
+    link = gdm_set.links[0]
+    assert link in gdm_set.links_from(link.from_caremap, link.from_exit_node)
+    assert gdm_set.links_from(link.from_caremap, "nope") == []
+
+
 def test_successors_decision_branches_ordered():
     cmset = _set(
         'caremap "m" { entry s; exit e1; exit e2; exit e3; decision d "Pick?"; '

@@ -51,6 +51,19 @@ def fork_model(p1=0.3, p2=0.7, seed=0):
     )
 
 
+def test_transition_model_lookups_first_match():
+    first = EdgeProbabilities((("d->e1", 1.0), ("d->e2", 0.0)))
+    second = EdgeProbabilities((("d->e1", 0.0), ("d->e2", 1.0)))
+    em1 = (Emitter("x", NormalDist(0.0, 1.0)),)
+    em2 = (Emitter("y", NormalDist(0.0, 1.0)),)
+    model = TransitionModel((("m.d", first), ("m.d", second)), (("m.a", em1), ("m.a", em2)))
+    assert model.mode_for("m", "d") is first
+    assert model.emitters_for("m", "a") is em1
+    assert model.mode_for("m", "a") is None
+    assert model.emitters_for("m", "d") == ()
+    assert model == TransitionModel(model.branch_modes, model.emitters)
+
+
 def test_compile_rejects_bad_mass():
     cmset = dsl.parse_or_raise(FORK)
     with pytest.raises(ProbabilityMass):
