@@ -174,10 +174,8 @@ def cmd_paths(args) -> int:
 
 def cmd_conform(args) -> int:
     cmset = _load_entry_set(args)
-    traces, load_errors = conformance.load_traces(_read_input(args.traces))
-    conformance.check_labels(cmset, traces)
-    summary = conformance.batch_conform(
-        cmset, args.entry, traces, tuple(load_errors), workers=args.workers
+    summary = conformance.conform_text(
+        cmset, args.entry, _read_input(args.traces), workers=args.workers
     )
     if args.format == "json":
         print(json.dumps(summary.as_dict(), sort_keys=True, indent=2))

@@ -23,6 +23,9 @@ class AmbiguousLabel(ValueError):
         self.ref = ref
         self.matches = matches
 
+    def __reduce__(self):  # pool workers send it back pickled
+        return type(self), (self.ref, self.matches)
+
 
 class TraceFormatError(ValueError):
     pass
@@ -137,11 +140,18 @@ def trace_from_json(line: str) -> PatientTrace:
     return PatientTrace(str(d["trace_id"]), events)
 
 
-def load_traces(text: str) -> tuple[list[PatientTrace], list[str]]:
-    """Parse JSONL; `#` lines are comments. Returns (traces, per-line errors)."""
+def load_traces(text: str, first_line: int = 1) -> tuple[list[PatientTrace], list[str]]:
+    """Parse JSONL; `#` lines are comments. Returns (traces, per-line errors).
+
+    Lines are those of text.splitlines(), numbered from first_line.
+    """
+    return _load_lines(text.splitlines(), first_line)
+
+
+def _load_lines(lines: Sequence[str], first_line: int) -> tuple[list[PatientTrace], list[str]]:
     traces: list[PatientTrace] = []
     errors: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -481,9 +491,13 @@ def map_chunks(fn: Callable, items: Sequence, workers: int, *args) -> list:
         return list(pool.map(partial(fn, *args), chunks))
 
 
-def _chunk_counts(
-    cmset: CaremapSet, entry_caremap: str, traces: list[PatientTrace]
-) -> tuple[dict[str, int], dict[str, int]]:
+# One chunk's tally: (status counts, divergence-node counts, traces, load errors).
+_Tally = tuple[dict[str, int], dict[str, int], int, tuple[str, ...]]
+
+
+def _replay_counts(
+    cmset: CaremapSet, entry_caremap: str, traces: list[PatientTrace], load_errors=()
+) -> _Tally:
     counts = {"Conformant": 0, "NonConformant": 0, "Undetermined": 0}
     divergence_counts: dict[str, int] = {}
     for trace in traces:
@@ -493,7 +507,31 @@ def _chunk_counts(
             divergence_counts[report.divergence_node] = (
                 divergence_counts.get(report.divergence_node, 0) + 1
             )
-    return counts, divergence_counts
+    return counts, divergence_counts, len(traces), tuple(load_errors)
+
+
+def _summarize(tallies: list[_Tally], top_k: int, load_errors: tuple[str, ...] = ()) -> BatchSummary:
+    """Merge chunk tallies, in chunk order, into one summary."""
+    counts = {"Conformant": 0, "NonConformant": 0, "Undetermined": 0}
+    divergence_counts: dict[str, int] = {}
+    n = 0
+    errors = list(load_errors)
+    for c, d, chunk_n, chunk_errors in tallies:
+        for k, v in c.items():
+            counts[k] += v
+        for k, v in d.items():
+            divergence_counts[k] = divergence_counts.get(k, 0) + v
+        n += chunk_n
+        errors.extend(chunk_errors)
+    top = sorted(divergence_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    return BatchSummary(
+        n=n,
+        conformant=counts["Conformant"],
+        non_conformant=counts["NonConformant"],
+        undetermined=counts["Undetermined"],
+        top_divergence_points=tuple(top),
+        load_errors=tuple(errors),
+    )
 
 
 def batch_conform(
@@ -505,19 +543,40 @@ def batch_conform(
     workers: int = 1,
 ) -> BatchSummary:
     ordered = sorted(traces, key=lambda t: t.trace_id)
-    counts = {"Conformant": 0, "NonConformant": 0, "Undetermined": 0}
-    divergence_counts: dict[str, int] = {}
-    for c, d in map_chunks(_chunk_counts, ordered, workers, cmset, entry_caremap):
-        for k, v in c.items():
-            counts[k] += v
-        for k, v in d.items():
-            divergence_counts[k] = divergence_counts.get(k, 0) + v
-    top = sorted(divergence_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-    return BatchSummary(
-        n=len(traces),
-        conformant=counts["Conformant"],
-        non_conformant=counts["NonConformant"],
-        undetermined=counts["Undetermined"],
-        top_divergence_points=tuple(top),
-        load_errors=load_errors,
-    )
+    tallies = map_chunks(_replay_counts, ordered, workers, cmset, entry_caremap)
+    return _summarize(tallies, top_k, load_errors)
+
+
+@dataclass(frozen=True)
+class _Lines:
+    """Input lines and the 1-based number of the first; a slice keeps the numbering."""
+
+    lines: list[str]
+    first: int = 1
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, s: slice) -> "_Lines":
+        return _Lines(self.lines[s], self.first + s.start)
+
+
+def _conform_lines(cmset: CaremapSet, entry_caremap: str, chunk: _Lines) -> _Tally:
+    traces, errors = _load_lines(chunk.lines, chunk.first)
+    check_labels(cmset, traces)
+    traces.sort(key=lambda t: t.trace_id)
+    return _replay_counts(cmset, entry_caremap, traces, errors)
+
+
+def conform_text(
+    cmset: CaremapSet, entry_caremap: str, text: str, top_k: int = 10, workers: int = 1
+) -> BatchSummary:
+    """Load, label-check and replay the JSONL traces in text.
+
+    The lines are split into min(workers, lines, CPU count) contiguous chunks
+    and each chunk is parsed and replayed where it runs (see map_chunks), so
+    only lines go to pool workers and only tallies come back.
+    """
+    lines = _Lines(text.splitlines())
+    del text  # so the text can be freed before the traces are built (cmd_conform keeps no copy)
+    return _summarize(map_chunks(_conform_lines, lines, workers, cmset, entry_caremap), top_k)

@@ -19,6 +19,9 @@ class UnitMismatch(ValueError):
         self.expected = expected
         self.found = found
 
+    def __reduce__(self):  # pool workers send it back pickled
+        return type(self), (self.var, self.expected, self.found)
+
 
 class UnknownPredicate(KeyError):
     pass

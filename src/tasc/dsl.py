@@ -30,6 +30,9 @@ MAX_DIAGNOSTICS = 25
 
 ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
+_DATE_TOKEN_RE = re.compile(r"\d{4}-\d{2}-\d{2}(?![\d.])")
+# a decimal point that begins a '..' range operator is not part of the number
+_NUMBER_TOKEN_RE = re.compile(r"-?\d+(\.\d+)?")
 
 
 @dataclass(frozen=True)
@@ -123,11 +126,11 @@ def _tokenize(text: str) -> list[Token]:
             col += 1
             buf = []
             while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise _LexError("unterminated string", start_line, start_col)
                 if text[i] == "\\" and i + 1 < n:
                     i += 1
                     col += 1
+                if text[i] == "\n":  # escaped or not, a string ends on its line
+                    raise _LexError("unterminated string", start_line, start_col)
                 buf.append(text[i])
                 i += 1
                 col += 1
@@ -137,16 +140,16 @@ def _tokenize(text: str) -> list[Token]:
             col += 1
             tokens.append(Token("string", "".join(buf), start_line, start_col))
             continue
-        m = re.match(r"\d{4}-\d{2}-\d{2}(?![\d.])", text[i:])
+        m = _DATE_TOKEN_RE.match(text, i)
         if m:
             tokens.append(Token("date", m.group(0), line, col))
             i += len(m.group(0))
             col += len(m.group(0))
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            # stop a decimal point that begins a '..' range operator
-            m = re.match(r"-?\d+(\.\d+)?", text[i:])
-            assert m
+        # \d is decimal digits only: other isdigit() characters such as '²' are
+        # not numbers and fall through to "unexpected character"
+        m = _NUMBER_TOKEN_RE.match(text, i)
+        if m:
             tokens.append(Token("number", m.group(0), line, col))
             i += len(m.group(0))
             col += len(m.group(0))

@@ -151,6 +151,125 @@ def test_conform_findings_exit_one(tmp_path, capsys):
     assert "non-conformant" in capsys.readouterr().out
 
 
+def _conform_sample(tmp_path):
+    """JSONL with comments, blank lines, a CR and a U+2028 line break, and a bad record
+    in the second half; returns (path, line number of the bad record)."""
+    rows = []
+    for i in range(12):
+        ref = "rogue" if i % 5 == 0 else "admit"
+        rows.append(json.dumps({"trace_id": f"t{i:02d}", "events": [{"type": "activity", "ref": ref}]}))
+    lines = ["# tasc-synth v1 seed=0", "", *rows[:3], "# cr\r# break", *rows[3:6], "#\u2028",
+             "", *rows[6:9], "{not json", "   ", "# tail", *rows[9:]]
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(text, encoding="utf-8")
+    bad = text.splitlines().index("{not json") + 1
+    assert bad > len(text.splitlines()) // 2
+    assert bad == text[:text.index("{not json")].count("\n") + 3  # counting "\n" is 2 short
+    return path, bad
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_conform_workers_byte_identical(tmp_path, capsys, fmt):
+    traces, bad = _conform_sample(tmp_path)
+    outputs = []
+    for workers in ("1", "2", "5"):
+        assert run(
+            "conform", LABOUR, "--traces", str(traces), "--entry", "labour_birth",
+            "--format", fmt, "--workers", workers,
+        ) == EXIT_FINDINGS
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out and all(o.out == outputs[0].out for o in outputs)
+    assert all(o.err == outputs[0].err for o in outputs)
+    if fmt == "json":
+        doc = json.loads(outputs[0].out)
+        assert doc["n"] == 12
+        assert [e.split(":")[0] for e in doc["load_errors"]] == [f"line {bad}"]
+    else:
+        assert outputs[0].err.startswith(f"  load error: line {bad}: bad JSON")
+
+
+def test_conform_workers_capped_at_line_count(tmp_path, capsys, inline_pool):
+    traces = tmp_path / "three.jsonl"
+    traces.write_text(
+        "".join(json.dumps({"trace_id": f"t{i}", "events": []}) + "\n" for i in range(3)),
+        encoding="utf-8",
+    )
+    outputs = []
+    for workers in ("1", "64"):
+        assert run(
+            "conform", LABOUR, "--traces", str(traces), "--entry", "labour_birth",
+            "--format", "json", "--workers", workers,
+        ) == EXIT_FINDINGS
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    cap = min(3, os.cpu_count() or 1)
+    assert inline_pool == ([cap] if cap > 1 else [])
+
+
+def _unit_mismatch_case(tmp_path):
+    events = [
+        {"type": "activity", "ref": "screen"},
+        {"type": "obs", "var": "age", "value": 40, "unit": "yr"},
+        {"type": "activity", "ref": "workup"},
+        {"type": "activity", "ref": "ca"},
+        {"type": "activity", "ref": "ca"},
+        {"type": "obs", "var": "glucose", "value": 9, "unit": "mmol/L"},
+        {"type": "activity", "ref": "treat_a"},
+        {"type": "activity", "ref": "monitor"},
+        {"type": "activity", "ref": "follow_up"},
+    ]
+    good = {"trace_id": "a", "events": events}
+    bad = {"trace_id": "b", "events": [dict(e) for e in events]}
+    bad["events"][5]["unit"] = "mg/dL"
+    return (
+        str(CORPUS / "all_elements.tasc"), "elements_main", [good, bad],
+        "unit mismatch on 'glucose': criterion says 'mmol/L', binding has 'mg/dL'",
+    )
+
+
+def _ambiguous_label_case(tmp_path):
+    caremaps = tmp_path / "twins.tasc"
+    caremaps.write_text(
+        'caremap "m" { entry s; exit e; activity a1 "Review"; activity a2 "Review"; '
+        "s -> a1; a1 -> a2; a2 -> e; }\n",
+        encoding="utf-8",
+    )
+    good = {"trace_id": "a", "events": [{"type": "activity", "ref": "a1"},
+                                        {"type": "activity", "ref": "a2"}]}
+    bad = {"trace_id": "b", "events": [{"type": "activity", "ref": "Review"}]}
+    return (
+        str(caremaps), "m", [good, bad],
+        "activity reference 'Review' matches multiple nodes: ['m.a1', 'm.a2']",
+    )
+
+
+@pytest.mark.parametrize(
+    "case", [_unit_mismatch_case, _ambiguous_label_case], ids=["unit-mismatch", "ambiguous-label"]
+)
+def test_conform_record_error_same_for_any_workers(case, tmp_path, capsys):
+    caremaps, entry, records, message = case(tmp_path)
+    traces = tmp_path / "t.jsonl"
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    for workers in ("1", "2"):
+        assert run(
+            "conform", caremaps, "--traces", str(traces), "--entry", entry,
+            "--workers", workers,
+        ) == EXIT_IO
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message + "\n")
+
+
+def test_fmt_rejects_escaped_newline_in_string(tmp_path, capsys):
+    src = tmp_path / "esc.tasc"
+    src.write_text('caremap "m" {\n  title "x\\\ny";\n  entry s; exit e; s -> e;\n}\n',
+                   encoding="utf-8")
+    assert run("fmt", "--stdout", str(src)) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{src}:2:9: error[E-SYNTAX]: unterminated string\n"
+
+
 def test_synth_workers_byte_identical(model_path, tmp_path):
     outputs = []
     for workers in ("1", "4"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -14,6 +15,7 @@ from tasc.conformance import (
     PatientTrace,
     batch_conform,
     check_labels,
+    conform_text,
     load_traces,
     replay,
     replay_with_edges,
@@ -297,6 +299,13 @@ def test_ambiguous_label_rejected():
     check_labels(cmset, [T("t", ActivityDone("a1"))])
 
 
+def test_ambiguous_label_pickles():
+    err = AmbiguousLabel("Review", ["m.a1", "m.a2"])
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is AmbiguousLabel and str(back) == str(err)
+    assert (back.ref, back.matches) == ("Review", ["m.a1", "m.a2"])
+
+
 # --- batches ----------------------------------------------------------------
 
 
@@ -339,3 +348,24 @@ def test_batch_workers_capped_at_trace_count(inline_pool):
     assert batch_conform(cmset, "m", traces, workers=64) == serial
     cap = min(3, os.cpu_count() or 1)
     assert inline_pool == ([cap] if cap > 1 else [])
+
+
+def test_load_traces_numbers_from_first_line():
+    text = '# header\n\nnot json\n{"trace_id": "t"}\n'
+    traces, errors = load_traces(text, first_line=41)
+    assert [t.trace_id for t in traces] == ["t"]
+    assert [e.split(":")[0] for e in errors] == ["line 43"]
+
+
+def test_conform_text_matches_batch_conform():
+    cmset = dsl.parse_or_raise(DECIDER)
+    traces = [
+        T(f"t{i}", Observation("glucose", 6.0 + (i % 4), "mmol/L"), ActivityDone("a"))
+        for i in range(40)
+    ]
+    text = "\n".join(["# comment", "{bad"] + [trace_to_json(t) for t in traces])
+    loaded, errors = load_traces(text)
+    expected = batch_conform(cmset, "m", loaded, tuple(errors))
+    assert expected.load_errors and expected.n == 40
+    for workers in (1, 4):
+        assert conform_text(cmset, "m", text, workers=workers) == expected

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -40,6 +41,13 @@ def test_unbound_is_unknown():
 def test_unit_mismatch_is_error_not_unknown():
     with pytest.raises(C.UnitMismatch):
         C.evaluate(GLUCOSE_RULE, b(glucose=(130.0, "mg/dL")))
+
+
+def test_unit_mismatch_pickles():
+    err = C.UnitMismatch("glucose", "mmol/L", "mg/dL")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is C.UnitMismatch and str(back) == str(err)
+    assert (back.var, back.expected, back.found) == ("glucose", "mmol/L", "mg/dL")
 
 
 def test_unknown_predicate():

@@ -188,3 +188,25 @@ def test_all_twelve_elements_roundtrip(elements_set):
 def test_parse_failure_raises():
     with pytest.raises(dsl.ParseFailure):
         parse_or_raise("caremap { nope }")
+
+
+@pytest.mark.parametrize(
+    "value, char", [("\u00b2", "'\u00b2'"), ("-\u00b2", "'-'")], ids=["sup2", "minus-sup2"]
+)
+def test_non_decimal_digit_is_syntax_error(value, char):
+    result = parse(f'caremap "m" {{\n  version {value};\n  entry s; exit e; s -> e;\n}}\n')
+    assert result.set is None
+    [d] = result.diagnostics
+    assert (d.code, d.message) == ("E-SYNTAX", f"unexpected character {char}")
+    assert (d.span.line, d.span.column) == (2, 11)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\\\n"], ids=["raw", "escaped"])
+def test_newline_in_string_is_unterminated(newline):
+    # the error on line 5 must not be reported, one line early, as line 4
+    text = f'caremap "m" {{\n  title "x{newline}y";\n  entry s; exit e;\n  s -> q;\n}}\n'
+    result = parse(text, filename="esc.tasc")
+    assert result.set is None
+    assert [d.render() for d in result.diagnostics] == [
+        "esc.tasc:2:9: error[E-SYNTAX]: unterminated string"
+    ]
