@@ -5,7 +5,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from tasc import criteria as C
 from tasc.model import (
@@ -140,12 +140,9 @@ def trace_from_json(line: str) -> PatientTrace:
     return PatientTrace(str(d["trace_id"]), events)
 
 
-def load_traces(text: str, first_line: int = 1) -> tuple[list[PatientTrace], list[str]]:
-    """Parse JSONL; `#` lines are comments. Returns (traces, per-line errors).
-
-    Lines are those of text.splitlines(), numbered from first_line.
-    """
-    return _load_lines(text.splitlines(), first_line)
+def load_traces(text: str) -> tuple[list[PatientTrace], list[str]]:
+    """Parse JSONL; `#` lines are comments. Returns (traces, per-line errors)."""
+    return _load_lines(text.splitlines(), 1)
 
 
 def _load_lines(lines: Sequence[str], first_line: int) -> tuple[list[PatientTrace], list[str]]:
@@ -494,14 +491,34 @@ def map_chunks(fn: Callable, items: Sequence, workers: int, *args) -> list:
 # One chunk's tally: (status counts, divergence-node counts, traces, load errors).
 _Tally = tuple[dict[str, int], dict[str, int], int, tuple[str, ...]]
 
+_LOAD, _LABELS, _REPLAY = range(3)
+
+
+class _Crash(NamedTuple):
+    """An exception a chunk met, kept so the merge can raise the one a serial run meets first."""
+
+    phase: int  # _LOAD, _LABELS or _REPLAY
+    trace_id: str  # the trace replay raised on; "" in the other phases
+    error: Exception
+    traceback: str
+
+    @classmethod
+    def of(cls, phase: int, trace_id: str, error: Exception) -> "_Crash":
+        import traceback
+
+        return cls(phase, trace_id, error, traceback.format_exc())
+
 
 def _replay_counts(
     cmset: CaremapSet, entry_caremap: str, traces: list[PatientTrace], load_errors=()
-) -> _Tally:
+) -> Union[_Tally, _Crash]:
     counts = {"Conformant": 0, "NonConformant": 0, "Undetermined": 0}
     divergence_counts: dict[str, int] = {}
     for trace in traces:
-        report = replay(cmset, entry_caremap, trace)
+        try:
+            report = replay(cmset, entry_caremap, trace)
+        except Exception as e:
+            return _Crash.of(_REPLAY, trace.trace_id, e)
         counts[report.status] += 1
         if report.status != "Conformant" and report.divergence_node is not None:
             divergence_counts[report.divergence_node] = (
@@ -510,13 +527,26 @@ def _replay_counts(
     return counts, divergence_counts, len(traces), tuple(load_errors)
 
 
-def _summarize(tallies: list[_Tally], top_k: int, load_errors: tuple[str, ...] = ()) -> BatchSummary:
-    """Merge chunk tallies, in chunk order, into one summary."""
+def _summarize(
+    results: list[Union[_Tally, _Crash]], top_k: int, load_errors: tuple[str, ...] = ()
+) -> BatchSummary:
+    """Merge chunk tallies, in chunk order, into one summary.
+
+    If a chunk crashed, raise the error a serial run meets first, so the
+    outcome does not depend on the chunking: load before label check before
+    replay, lines in file order, replays in trace-id order.
+    """
+    crashes = [(r.phase, r.trace_id, i) for i, r in enumerate(results) if isinstance(r, _Crash)]
+    if crashes:
+        crash = results[min(crashes)[2]]
+        if crash.error.__traceback__ is None:  # pickled back from a pool worker
+            crash.error.add_note(crash.traceback)
+        raise crash.error
     counts = {"Conformant": 0, "NonConformant": 0, "Undetermined": 0}
     divergence_counts: dict[str, int] = {}
     n = 0
     errors = list(load_errors)
-    for c, d, chunk_n, chunk_errors in tallies:
+    for c, d, chunk_n, chunk_errors in results:
         for k, v in c.items():
             counts[k] += v
         for k, v in d.items():
@@ -561,15 +591,22 @@ class _Lines:
         return _Lines(self.lines[s], self.first + s.start)
 
 
-def _conform_lines(cmset: CaremapSet, entry_caremap: str, chunk: _Lines) -> _Tally:
-    traces, errors = _load_lines(chunk.lines, chunk.first)
-    check_labels(cmset, traces)
+def _conform_lines(
+    cmset: CaremapSet, entry_caremap: str, chunk: _Lines
+) -> Union[_Tally, _Crash]:
+    phase = _LOAD
+    try:
+        traces, errors = _load_lines(chunk.lines, chunk.first)
+        phase = _LABELS
+        check_labels(cmset, traces)
+    except Exception as e:
+        return _Crash.of(phase, "", e)
     traces.sort(key=lambda t: t.trace_id)
     return _replay_counts(cmset, entry_caremap, traces, errors)
 
 
 def conform_text(
-    cmset: CaremapSet, entry_caremap: str, text: str, top_k: int = 10, workers: int = 1
+    cmset: CaremapSet, entry_caremap: str, text: str, workers: int = 1
 ) -> BatchSummary:
     """Load, label-check and replay the JSONL traces in text.
 
@@ -579,4 +616,4 @@ def conform_text(
     """
     lines = _Lines(text.splitlines())
     del text  # so the text can be freed before the traces are built (cmd_conform keeps no copy)
-    return _summarize(map_chunks(_conform_lines, lines, workers, cmset, entry_caremap), top_k)
+    return _summarize(map_chunks(_conform_lines, lines, workers, cmset, entry_caremap), 10)

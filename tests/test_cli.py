@@ -207,57 +207,69 @@ def test_conform_workers_capped_at_line_count(tmp_path, capsys, inline_pool):
     assert inline_pool == ([cap] if cap > 1 else [])
 
 
-def _unit_mismatch_case(tmp_path):
-    events = [
-        {"type": "activity", "ref": "screen"},
-        {"type": "obs", "var": "age", "value": 40, "unit": "yr"},
-        {"type": "activity", "ref": "workup"},
-        {"type": "activity", "ref": "ca"},
-        {"type": "activity", "ref": "ca"},
-        {"type": "obs", "var": "glucose", "value": 9, "unit": "mmol/L"},
-        {"type": "activity", "ref": "treat_a"},
-        {"type": "activity", "ref": "monitor"},
-        {"type": "activity", "ref": "follow_up"},
-    ]
-    good = {"trace_id": "a", "events": events}
-    bad = {"trace_id": "b", "events": [dict(e) for e in events]}
-    bad["events"][5]["unit"] = "mg/dL"
-    return (
-        str(CORPUS / "all_elements.tasc"), "elements_main", [good, bad],
-        "unit mismatch on 'glucose': criterion says 'mmol/L', binding has 'mg/dL'",
-    )
-
-
-def _ambiguous_label_case(tmp_path):
-    caremaps = tmp_path / "twins.tasc"
-    caremaps.write_text(
-        'caremap "m" { entry s; exit e; activity a1 "Review"; activity a2 "Review"; '
-        "s -> a1; a1 -> a2; a2 -> e; }\n",
-        encoding="utf-8",
-    )
-    good = {"trace_id": "a", "events": [{"type": "activity", "ref": "a1"},
-                                        {"type": "activity", "ref": "a2"}]}
-    bad = {"trace_id": "b", "events": [{"type": "activity", "ref": "Review"}]}
-    return (
-        str(caremaps), "m", [good, bad],
-        "activity reference 'Review' matches multiple nodes: ['m.a1', 'm.a2']",
-    )
+_ERROR_MAP = (
+    'caremap "m" {\n  entry s; exit hi; exit lo;\n'
+    '  activity a1 "Review"; activity a2 "Review";\n'
+    '  decision d "High?"; decision d2 "Run?";\n'
+    "  s -> a1; a1 -> d; a2 -> lo;\n"
+    "  d -> d2 when glucose > 7.0 mmol/L; d -> a2 otherwise;\n"
+    "  d2 -> hi when consecutive_above(glucose); d2 -> lo otherwise;\n"
+    "}\n"
+)
+_RECORD_EVENTS = {
+    "ok": [{"type": "activity", "ref": "a1"},
+           {"type": "obs", "var": "glucose", "value": 6, "unit": "mmol/L"},
+           {"type": "activity", "ref": "a2"}],
+    # IndexError at replay (exit 1): consecutive_above is given no threshold
+    "arity": [{"type": "activity", "ref": "a1"},
+              {"type": "obs", "var": "glucose", "value": 9, "unit": "mmol/L"}],
+    # UnitMismatch at replay (exit 3)
+    "unit": [{"type": "activity", "ref": "a1"},
+             {"type": "obs", "var": "glucose", "value": 6, "unit": "mg/dL"}],
+    # AmbiguousLabel at the label check (exit 3)
+    "label": [{"type": "activity", "ref": "Review"}],
+    # KeyError at load (exit 1)
+    "noref": [{"type": "activity"}],
+}
+_LABEL_MESSAGE = "activity reference 'Review' matches multiple nodes: ['m.a1', 'm.a2']"
+_UNIT_MESSAGE = "unit mismatch on 'glucose': criterion says 'mmol/L', binding has 'mg/dL'"
 
 
 @pytest.mark.parametrize(
-    "case", [_unit_mismatch_case, _ambiguous_label_case], ids=["unit-mismatch", "ambiguous-label"]
+    "records, outcome",
+    [
+        ([("a", "ok"), ("b", "unit")], _UNIT_MESSAGE),
+        ([("a", "ok"), ("b", "label")], _LABEL_MESSAGE),
+        ([("a", "arity"), ("b", "label")], _LABEL_MESSAGE),
+        ([("a", "unit"), ("b", "noref")], KeyError),
+        ([("a", "label"), ("b", "noref")], KeyError),
+        ([("z", "arity"), ("a", "unit")], _UNIT_MESSAGE),
+        ([("a", "arity"), ("z", "unit")], IndexError),
+    ],
+    ids=["unit-mismatch", "ambiguous-label", "labels-before-replay", "load-before-replay",
+         "load-before-labels", "replay-in-id-order", "replay-in-id-order-crash"],
 )
-def test_conform_record_error_same_for_any_workers(case, tmp_path, capsys):
-    caremaps, entry, records, message = case(tmp_path)
+def test_conform_record_error_same_for_any_workers(records, outcome, tmp_path, capsys):
+    # The records land in different chunks when --workers 2; the error reported is the one
+    # a serial run meets first: load, then label check, then replay in trace-id order.
+    caremaps = tmp_path / "m.tasc"
+    caremaps.write_text(_ERROR_MAP, encoding="utf-8")
     traces = tmp_path / "t.jsonl"
-    traces.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    traces.write_text(
+        "".join(
+            json.dumps({"trace_id": t, "events": _RECORD_EVENTS[k]}) + "\n" for t, k in records
+        ),
+        encoding="utf-8",
+    )
     for workers in ("1", "2"):
-        assert run(
-            "conform", caremaps, "--traces", str(traces), "--entry", entry,
-            "--workers", workers,
-        ) == EXIT_IO
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", message + "\n")
+        argv = ("conform", str(caremaps), "--traces", str(traces), "--entry", "m",
+                "--workers", workers)
+        if isinstance(outcome, str):
+            assert run(*argv) == EXIT_IO
+            assert capsys.readouterr() == ("", outcome + "\n")
+        else:
+            with pytest.raises(outcome):
+                run(*argv)
 
 
 def test_fmt_rejects_escaped_newline_in_string(tmp_path, capsys):

@@ -350,13 +350,6 @@ def test_batch_workers_capped_at_trace_count(inline_pool):
     assert inline_pool == ([cap] if cap > 1 else [])
 
 
-def test_load_traces_numbers_from_first_line():
-    text = '# header\n\nnot json\n{"trace_id": "t"}\n'
-    traces, errors = load_traces(text, first_line=41)
-    assert [t.trace_id for t in traces] == ["t"]
-    assert [e.split(":")[0] for e in errors] == ["line 43"]
-
-
 def test_conform_text_matches_batch_conform():
     cmset = dsl.parse_or_raise(DECIDER)
     traces = [
