@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -10,8 +11,10 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from tasc import criteria as C
 from tasc.model import (
     ACTIVITY_KINDS,
+    NESTED_KINDS,
     Caremap,
     CaremapSet,
+    Node,
     NodeKind,
     successors,
 )
@@ -119,13 +122,18 @@ def trace_to_json(trace: PatientTrace) -> str:
 
 
 def event_from_dict(d: dict) -> TraceEvent:
+    if not isinstance(d, dict):
+        raise TraceFormatError(f"event must be an object, got {type(d).__name__}")
     kind = d.get("type")
-    if kind == "activity":
-        return ActivityDone(str(d["ref"]), d.get("at"))
-    if kind == "obs":
-        return Observation(str(d["var"]), d["value"], d.get("unit"), d.get("at"))
-    if kind == "branch":
-        return BranchTaken(str(d["decision"]), str(d["edge"]))
+    try:
+        if kind == "activity":
+            return ActivityDone(str(d["ref"]), d.get("at"))
+        if kind == "obs":
+            return Observation(str(d["var"]), d["value"], d.get("unit"), d.get("at"))
+        if kind == "branch":
+            return BranchTaken(str(d["decision"]), str(d["edge"]))
+    except KeyError as e:
+        raise TraceFormatError(f"{kind} event has no {e.args[0]!r}") from None
     raise TraceFormatError(f"unknown event type {kind!r}")
 
 
@@ -136,8 +144,10 @@ def trace_from_json(line: str) -> PatientTrace:
         raise TraceFormatError(f"bad JSON: {e}") from e
     if not isinstance(d, dict) or "trace_id" not in d:
         raise TraceFormatError("trace record needs a trace_id")
-    events = tuple(event_from_dict(ev) for ev in d.get("events", []))
-    return PatientTrace(str(d["trace_id"]), events)
+    events = d.get("events", [])
+    if not isinstance(events, list):
+        raise TraceFormatError(f"events must be a list, got {type(events).__name__}")
+    return PatientTrace(str(d["trace_id"]), tuple(event_from_dict(ev) for ev in events))
 
 
 def load_traces(text: str) -> tuple[list[PatientTrace], list[str]]:
@@ -177,6 +187,14 @@ def check_labels(cmset: CaremapSet, traces: list[PatientTrace]) -> None:
 
 
 # --- replay -----------------------------------------------------------------
+#
+# Replay is a depth-first search over states (node, event index, nested-call
+# stack). Expanding a state makes its record_failure calls and yields its
+# options, each an (edge marker or None, target node) pair; the options of one
+# expansion share an event index and a stack, so a child state is
+# (target, index, stack). The search runs on an explicit stack of frames, so
+# its depth is bounded by memory, not by the interpreter's recursion limit.
+# The first option that leads to an accepting state wins.
 
 
 @dataclass
@@ -189,28 +207,167 @@ class _Failure:
     unresolved: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
 
-class _Replayer:
-    def __init__(self, cmset: CaremapSet, trace: PatientTrace):
+class _Node:
+    """What replay needs of one caremap node, computed once per caremap set.
+
+    Each (caremap, node) has exactly one _Node, so a state can hold the
+    _Node itself and compare and hash by its identity.
+    """
+
+    __slots__ = (
+        "cm", "id", "label", "kind", "step", "resume", "succ", "by_edge", "succ_ids",
+        "branches", "child", "links", "reach",
+    )
+
+    def __init__(self, cm: Caremap, node: Node):
+        self.cm = cm
+        self.id = node.id
+        self.label = node.label
+        self.kind = node.kind
+        self.step = _STEPS[node.kind]
+        # how an exit of a nested map resumes at this node
+        self.resume = _Replayer._follow if node.kind is NodeKind.NESTED_ACTIVITY else _Replayer._select
+        self.succ: list = []  # [((cm id, edge id), target)], sorted by target id
+        self.by_edge: dict = {}  # edge id -> [((cm id, edge id), target)]
+        self.succ_ids: tuple[str, ...] = ()  # edge ids in edge-id order
+        self.branches: Optional[list] = None  # [(edge id, criterion)] when every out-edge has one
+        self.child: Optional[list] = None  # [(None, entry of the nested map)]
+        self.links: list = []  # [(None, entry of a linked map)], in link order
+        self.reach: Optional[set] = None  # ids reachable from here, built on first mismatch
+
+
+class _Unresolved:
+    """A link target that does not resolve; expanding it raises the lookup error."""
+
+    def __init__(self, cmset: CaremapSet, cm_id: str, node_id: str):
+        self.cmset, self.cm_id, self.node_id = cmset, cm_id, node_id
+
+    def step(self, replayer, node, i, stack):
+        self.cmset.caremap(self.cm_id).node(self.node_id)  # raises KeyError or UnknownNode
+        raise AssertionError("unreachable")
+
+
+class _Plan:
+    """The _Node of every node in a caremap set, and per-caremap ref lookup."""
+
+    def __init__(self, cmset: CaremapSet):
         self.cmset = cmset
-        self.trace = trace
-        self.events = trace.events
-        self.failed: set = set()
+        self.nodes: dict[tuple[str, str], _Node] = {}
+        self.first_by_ref: dict[str, dict[str, str]] = {}
+        for cm in cmset.caremaps:
+            refs: dict[str, str] = {}
+            for n in cm.nodes:
+                self.nodes[cm.id, n.id] = _Node(cm, n)
+                refs.setdefault(n.id, n.id)
+                if n.label:
+                    refs.setdefault(n.label, n.id)
+            self.first_by_ref[cm.id] = refs
+        for (cm_id, node_id), info in self.nodes.items():
+            cm = info.cm
+            succ = successors(cm, node_id)
+            out = [((cm_id, e.id), self.nodes[cm_id, t.id]) for e, t in succ]
+            info.by_edge = {marker[1]: [(marker, t)] for marker, t in out}
+            info.succ = sorted(out, key=lambda p: p[1].id)
+            info.succ_ids = tuple(e.id for e, _ in succ)
+            branches = [(e.id, e.criterion) for e, _ in succ if e.criterion is not None]
+            if branches and len(branches) == len(succ):
+                info.branches = branches
+            if info.kind in NESTED_KINDS:
+                child = self._nested_entry(cm.node(node_id).nested_ref)
+                info.child = None if child is None else [(None, child)]
+            info.links = [
+                (None, self.nodes.get((l.to_caremap, l.to_entry_node))
+                 or _Unresolved(cmset, l.to_caremap, l.to_entry_node))
+                for l in cmset.links_from(cm_id, node_id)
+            ]
+
+    def _nested_entry(self, cm_id: str) -> Optional[_Node]:
+        """The entry of a nested map, or None when replay must raise on descending."""
+        if not self.cmset.has_caremap(cm_id):
+            return None
+        entries = self.cmset.caremap(cm_id).entry_nodes()
+        return self.nodes[cm_id, entries[0].id] if len(entries) == 1 else None
+
+
+_plan_cache: list = [None]
+
+
+def _plan(cmset: CaremapSet) -> _Plan:
+    # One slot: a batch replays every trace against the same set. The slot
+    # holds the set, so its id cannot be reused while cached, and a plan is
+    # only ever read, apart from reachable sets derived from the set itself.
+    plan = _plan_cache[0]
+    if plan is None or plan.cmset is not cmset:
+        plan = _plan_cache[0] = _Plan(cmset)
+    return plan
+
+
+class _View:
+    """Read-only Binding view of one variable's first k observations in a trace."""
+
+    __slots__ = ("_values", "_k", "value", "unit")
+
+    def __init__(self, values: list, k: int, unit: Optional[str]):
+        self._values = values
+        self._k = k
+        self.value = values[k - 1]
+        self.unit = unit
+
+    def series(self) -> tuple:
+        return tuple(self._values[: self._k])
+
+
+class _BindingsAt:
+    """Read-only bindings mapping at event index j; views are made on lookup."""
+
+    __slots__ = ("_series", "_j")
+
+    def __init__(self, series: dict, j: int):
+        self._series = series  # var -> (event indices, values, effective units)
+        self._j = j
+
+    def get(self, var: str, default=None):
+        s = self._series.get(var)
+        if s is None:
+            return default
+        at, values, units = s
+        k = bisect_left(at, self._j)
+        return _View(values, k, units[k - 1]) if k else default
+
+    def __contains__(self, var: str) -> bool:
+        return self.get(var) is not None
+
+
+_ACCEPT = object()
+
+
+class _Replayer:
+    def __init__(self, plan: _Plan, trace: PatientTrace):
+        self.plan = plan
+        self.events = events = trace.events
+        self.n = n = len(events)
         self.best = _Failure()
-        # bindings after consuming all observations with index < i
-        self.bindings_at: list[C.Bindings] = [{}]
-        b: C.Bindings = {}
-        for ev in self.events:
-            if isinstance(ev, Observation):
-                b = C.bind(b, ev.var, ev.value, ev.unit)
-            self.bindings_at.append(b)
+        # next[i]: index of the first non-observation event at or after i
+        nxt = [n] * (n + 1)
+        j = n
+        for k in range(n - 1, -1, -1):
+            if not isinstance(events[k], Observation):
+                j = k
+            nxt[k] = j
+        self.next = nxt
+        self._series: Optional[dict] = None  # var -> (event indices, values, units)
 
-    def skip_obs(self, i: int) -> int:
-        while i < len(self.events) and isinstance(self.events[i], Observation):
-            i += 1
-        return i
-
-    def matches(self, node, ref: str) -> bool:
-        return ref == node.id or (node.label != "" and ref == node.label)
+    def bindings_at(self, j: int) -> _BindingsAt:
+        """Bindings after the observations with index < j, as views."""
+        if self._series is None:
+            self._series = {}
+            for k, ev in enumerate(self.events):
+                if isinstance(ev, Observation):
+                    at, values, units = self._series.setdefault(ev.var, ([], [], []))
+                    at.append(k)
+                    values.append(ev.value)
+                    units.append(ev.unit if ev.unit is not None or not units else units[-1])
+        return _BindingsAt(self._series, j)
 
     def record_failure(
         self, i: int, node_id: str, expected: tuple[str, ...], found: Optional[str],
@@ -222,161 +379,137 @@ class _Replayer:
         ):
             self.best = _Failure(i, node_id, expected, found, kind, tuple(unresolved))
 
-    def search(self, cm: Caremap, node_id: str, i: int, stack: tuple) -> Optional[list[tuple]]:
-        """Find a walk from node_id consuming events[i:].
+    def search(self, start: _Node) -> Optional[tuple[tuple[str, ...], tuple[tuple[str, str], ...]]]:
+        """Find a walk from start consuming every event.
 
-        Returns a marker list of ("node", cm_id, node_id) and
-        ("edge", cm_id, edge_id) entries, or None when no walk matches.
+        Returns the walk's node ids and its (caremap id, edge id) pairs, or
+        None when no walk matches. Every state is expanded at most once: a
+        state seen before has failed (the memo) or is on the current path (a
+        cycle that consumed no event), and either way is a dead end.
         """
-        key = (cm.id, node_id, i, stack)
-        if key in self.failed:
-            return None
-        result = self._step(cm, node_id, i, stack)
-        if result is None:
-            self.failed.add(key)
-        return result
-
-    def _descend_target(self, ref: str) -> tuple[Caremap, str]:
-        child = self.cmset.caremap(ref)
-        entries = child.entry_nodes()
-        if len(entries) != 1:
-            raise ValueError(f"nested caremap {ref!r} must have exactly one entry")
-        return child, entries[0].id
-
-    def _resume(self, i: int, stack: tuple) -> Optional[list[tuple]]:
-        frame = stack[0]
-        rest = stack[1:]
-        mode, cm_id, node_id = frame
-        cm = self.cmset.caremap(cm_id)
-        if mode == "act":
-            return self._follow_successors(cm, node_id, i, rest)
-        return self._select_and_follow(cm, node_id, i, rest)
-
-    def _step(self, cm: Caremap, node_id: str, i: int, stack: tuple) -> Optional[list[tuple]]:
-        node = cm.node(node_id)
-        kind = node.kind
-        here = ("node", cm.id, node_id)
-
-        if kind is NodeKind.ENTRY_POINT:
-            rest = self._follow_successors(cm, node_id, i, stack)
-            return [here] + rest if rest is not None else None
-
-        if kind is NodeKind.EXIT_POINT:
-            if stack:
-                rest = self._resume(i, stack)
-                return [here] + rest if rest is not None else None
-            if self.skip_obs(i) == len(self.events):
-                return [here]
-            links = self.cmset.links_from(cm.id, node_id)
-            for link in links:
-                target = self.cmset.caremap(link.to_caremap)
-                rest = self.search(target, link.to_entry_node, i, stack)
-                if rest is not None:
-                    return [here] + rest
-            if not links:
-                j = self.skip_obs(i)
-                found = self._found_ref(j)
-                self.record_failure(j, node_id, (), found, "UnexpectedActivity")
-            return None
-
-        if kind is NodeKind.EXCLUSION_POINT:
-            if self.skip_obs(i) == len(self.events):
-                return [here]
-            j = self.skip_obs(i)
-            self.record_failure(j, node_id, (), self._found_ref(j), "UnexpectedActivity")
-            return None
-
-        if kind in (NodeKind.ACTIVITY, NodeKind.NESTED_ACTIVITY):
-            j = self.skip_obs(i)
-            if j >= len(self.events):
-                self.record_failure(j, node_id, (node_id,), None, "IncompleteTrace")
-                return None
-            ev = self.events[j]
-            if not (isinstance(ev, ActivityDone) and self.matches(node, ev.ref)):
-                found = self._found_ref(j)
-                vkind = self._classify_mismatch(cm, node_id, found)
-                self.record_failure(j, node_id, (node_id,), found, vkind)
-                return None
-            i = j + 1
-            if kind is NodeKind.NESTED_ACTIVITY:
-                child, child_entry = self._descend_target(node.nested_ref)
-                rest = self.search(child, child_entry, i, (("act", cm.id, node_id),) + stack)
-                return [here] + rest if rest is not None else None
-            rest = self._follow_successors(cm, node_id, i, stack)
-            return [here] + rest if rest is not None else None
-
-        # decisions are silent; nested decisions run their sub-map first
-        if kind is NodeKind.NESTED_DECISION:
-            child, child_entry = self._descend_target(node.nested_ref)
-            rest = self.search(child, child_entry, i, (("dec", cm.id, node_id),) + stack)
-            return [here] + rest if rest is not None else None
-
-        rest = self._select_and_follow(cm, node_id, i, stack)
-        return [here] + rest if rest is not None else None
-
-    def _follow_successors(self, cm: Caremap, node_id: str, i: int, stack: tuple) -> Optional[list[tuple]]:
-        succ = successors(cm, node_id)
-        if not succ:
-            j = self.skip_obs(i)
-            kind = "IncompleteTrace" if j >= len(self.events) else "UnexpectedActivity"
-            self.record_failure(j, node_id, (), self._found_ref(j), kind)
-            return None
-        for e, nxt in sorted(succ, key=lambda p: p[1].id):
-            result = self.search(cm, nxt.id, i, stack)
-            if result is not None:
-                return [("edge", cm.id, e.id)] + result
+        r = start.step(self, start, 0, ())
+        if r is _ACCEPT:
+            return (start.id,), ()
+        seen = {(start, 0, ())}
+        # [node, options, event index, stack, options tried] per state on the path
+        frames = [] if r is None else [[start, *r, 0]]
+        while frames:
+            frame = frames[-1]
+            _, options, i, stack, k = frame
+            if k == len(options):
+                frames.pop()
+                continue
+            frame[4] = k + 1
+            target = options[k][1]
+            state = (target, i, stack)
+            if state in seen:
+                continue
+            seen.add(state)
+            r = target.step(self, target, i, stack)
+            if r is _ACCEPT:
+                walk = tuple(f[0].id for f in frames) + (target.id,)
+                chosen = (f[1][f[4] - 1][0] for f in frames)
+                return walk, tuple(e for e in chosen if e is not None)
+            if r is not None:
+                frames.append([target, *r, 0])
         return None
 
-    def _select_and_follow(self, cm: Caremap, node_id: str, i: int, stack: tuple) -> Optional[list[tuple]]:
-        succ = successors(cm, node_id)
-        j = self.skip_obs(i)
-        if j < len(self.events):
+    # Each step expands a state: it returns _ACCEPT, None for a dead end, or
+    # (options, event index, stack) for the child states.
+
+    def _exit(self, node: _Node, i: int, stack: tuple):
+        if stack:
+            frame, _, rest = stack
+            return frame.resume(self, frame, i, rest)
+        j = self.next[i]
+        if j == self.n:
+            return _ACCEPT
+        if node.links:
+            return node.links, i, stack
+        self.record_failure(j, node.id, (), self._found_ref(j), "UnexpectedActivity")
+        return None
+
+    def _exclusion(self, node: _Node, i: int, stack: tuple):
+        j = self.next[i]
+        if j == self.n:
+            return _ACCEPT
+        self.record_failure(j, node.id, (), self._found_ref(j), "UnexpectedActivity")
+        return None
+
+    def _activity(self, node: _Node, i: int, stack: tuple):
+        j = self.next[i]
+        if j >= self.n:
+            self.record_failure(j, node.id, (node.id,), None, "IncompleteTrace")
+            return None
+        ev = self.events[j]
+        if not (isinstance(ev, ActivityDone) and (
+            ev.ref == node.id or (node.label != "" and ev.ref == node.label)
+        )):
+            found = self._found_ref(j)
+            self.record_failure(j, node.id, (node.id,), found, self._classify_mismatch(node, found))
+            return None
+        if node.kind is NodeKind.NESTED_ACTIVITY:
+            return self._descend(node, j + 1, stack)
+        return self._follow(node, j + 1, stack)
+
+    def _descend(self, node: _Node, i: int, stack: tuple):
+        # nested maps run as calls: the stack holds the node to resume at and
+        # the event index the call began at
+        if node.child is None:  # the nested map is missing or has no single entry
+            ref = node.cm.node(node.id).nested_ref
+            self.plan.cmset.caremap(ref)  # raises KeyError when missing
+            raise ValueError(f"nested caremap {ref!r} must have exactly one entry")
+        # A call of node at i ends in one of n - i + 2 ways: it returns at an
+        # index in i..n, or the walk accepts inside it. If two calls of node at
+        # i on the stack ended the same way, the inner call's walk could stand
+        # in for the outer's, so a matching walk needs at most n - i + 2 of
+        # them. Cutting there ends a nesting cycle that consumes no event.
+        copies, rest = 0, stack
+        while rest and rest[1] == i:  # the calls begun at i are on top
+            copies += rest[0] is node
+            rest = rest[2]
+        if copies > self.n - i + 1:
+            return None
+        return node.child, i, (node, i, stack)
+
+    def _follow(self, node: _Node, i: int, stack: tuple):
+        if not node.succ:
+            j = self.next[i]
+            kind = "IncompleteTrace" if j >= self.n else "UnexpectedActivity"
+            self.record_failure(j, node.id, (), self._found_ref(j), kind)
+            return None
+        return node.succ, i, stack
+
+    def _select(self, node: _Node, i: int, stack: tuple):
+        j = self.next[i]
+        if j < self.n:
             ev = self.events[j]
-            if isinstance(ev, BranchTaken) and ev.decision == node_id:
-                for e, nxt in succ:
-                    if e.id == ev.edge:
-                        result = self.search(cm, nxt.id, j + 1, stack)
-                        if result is not None:
-                            return [("edge", cm.id, e.id)] + result
-                        return None
-                self.record_failure(j, node_id, tuple(e.id for e, _ in succ), ev.edge, "WrongBranch")
+            if isinstance(ev, BranchTaken) and ev.decision == node.id:
+                taken = node.by_edge.get(ev.edge)
+                if taken is not None:
+                    return taken, j + 1, stack
+                self.record_failure(j, node.id, node.succ_ids, ev.edge, "WrongBranch")
                 return None
-        branches = [(e.id, e.criterion) for e, _ in succ if e.criterion is not None]
-        if branches and len(branches) == len(succ):
-            selection = C.select_branch(branches, self.bindings_at[j])
-            if isinstance(selection, C.Chosen):
-                edge, target = next((e, n) for e, n in succ if e.id == selection.edge_id)
-                result = self.search(cm, target.id, i, stack)
-                if result is not None:
-                    return [("edge", cm.id, edge.id)] + result
-                return None
-            if isinstance(selection, C.Ambiguous):
-                chosen = [(e, n) for e, n in succ if e.id in selection.edge_ids]
-                for e, nxt in sorted(chosen, key=lambda p: p[1].id):
-                    result = self.search(cm, nxt.id, i, stack)
-                    if result is not None:
-                        return [("edge", cm.id, e.id)] + result
-                return None
-            if isinstance(selection, C.Undetermined):
-                self.record_failure(
-                    j, node_id, tuple(e for e, _ in branches), None,
-                    "undetermined", ((node_id, selection.missing_vars),),
-                )
-                return None
-            # NoneMatch: no criterion held
+        if node.branches is None:
+            # free-choice fan-out (or plain chain): search all successors
+            return node.succ, i, stack
+        selection = C.select_branch(node.branches, self.bindings_at(j))
+        if isinstance(selection, C.Chosen):
+            return node.by_edge[selection.edge_id], i, stack
+        if isinstance(selection, C.Ambiguous):
+            return [p for p in node.succ if p[0][1] in selection.edge_ids], i, stack
+        if isinstance(selection, C.Undetermined):
             self.record_failure(
-                j, node_id, tuple(e for e, _ in branches), self._found_ref(j), "WrongBranch"
+                j, node.id, node.succ_ids, None,
+                "undetermined", ((node.id, selection.missing_vars),),
             )
             return None
-        # free-choice fan-out (or plain chain): search all successors
-        for e, nxt in sorted(succ, key=lambda p: p[1].id):
-            result = self.search(cm, nxt.id, i, stack)
-            if result is not None:
-                return [("edge", cm.id, e.id)] + result
+        # NoneMatch: no criterion held
+        self.record_failure(j, node.id, node.succ_ids, self._found_ref(j), "WrongBranch")
         return None
 
     def _found_ref(self, j: int) -> Optional[str]:
-        if j >= len(self.events):
+        if j >= self.n:
             return None
         ev = self.events[j]
         if isinstance(ev, ActivityDone):
@@ -385,27 +518,34 @@ class _Replayer:
             return ev.edge
         return None
 
-    def _classify_mismatch(self, cm: Caremap, node_id: str, found: Optional[str]) -> str:
+    def _classify_mismatch(self, node: _Node, found: Optional[str]) -> str:
         if found is None:
             return "IncompleteTrace"
-        target = None
-        for n in cm.nodes:
-            if found == n.id or (n.label and found == n.label):
-                target = n.id
-                break
+        target = self.plan.first_by_ref[node.cm.id].get(found)
         if target is None:
             return "UnexpectedActivity"
         # skipped if the referenced node lies further along the flow
-        seen: set[str] = set()
-        stack = [node_id]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            for _, nxt in successors(cm, cur):
-                stack.append(nxt.id)
-        return "SkippedActivity" if target in seen and target != node_id else "UnexpectedActivity"
+        if node.reach is None:
+            seen: set[str] = set()
+            todo = [node]
+            while todo:
+                cur = todo.pop()
+                if cur.id not in seen:
+                    seen.add(cur.id)
+                    todo.extend(t for _, t in cur.succ)
+            node.reach = seen
+        return "SkippedActivity" if target in node.reach and target != node.id else "UnexpectedActivity"
+
+
+_STEPS = {
+    NodeKind.ENTRY_POINT: _Replayer._follow,
+    NodeKind.EXIT_POINT: _Replayer._exit,
+    NodeKind.EXCLUSION_POINT: _Replayer._exclusion,
+    NodeKind.ACTIVITY: _Replayer._activity,
+    NodeKind.NESTED_ACTIVITY: _Replayer._activity,
+    NodeKind.DECISION: _Replayer._select,
+    NodeKind.NESTED_DECISION: _Replayer._descend,
+}
 
 
 def replay_with_edges(
@@ -416,11 +556,11 @@ def replay_with_edges(
     entries = cm.entry_nodes()
     if len(entries) != 1:
         raise ValueError(f"caremap {entry_caremap!r} must have exactly one entry point")
-    r = _Replayer(cmset, trace)
-    markers = r.search(cm, entries[0].id, 0, ())
-    if markers is not None:
-        walk = tuple(m[2] for m in markers if m[0] == "node")
-        edges = tuple((m[1], m[2]) for m in markers if m[0] == "edge")
+    plan = _plan(cmset)
+    r = _Replayer(plan, trace)
+    found = r.search(plan.nodes[cm.id, entries[0].id])
+    if found is not None:
+        walk, edges = found
         return ConformanceReport(trace.trace_id, "Conformant", matched_path=walk), edges
     best = r.best
     if best.kind == "undetermined":
@@ -447,6 +587,9 @@ def replay(cmset: CaremapSet, entry_caremap: str, trace: PatientTrace) -> Confor
     """
     report, _ = replay_with_edges(cmset, entry_caremap, trace)
     return report
+
+
+TOP_DIVERGENCE_POINTS = 10  # nodes listed in a summary, most frequent first
 
 
 @dataclass(frozen=True)
@@ -528,7 +671,7 @@ def _replay_counts(
 
 
 def _summarize(
-    results: list[Union[_Tally, _Crash]], top_k: int, load_errors: tuple[str, ...] = ()
+    results: list[Union[_Tally, _Crash]], load_errors: tuple[str, ...] = ()
 ) -> BatchSummary:
     """Merge chunk tallies, in chunk order, into one summary.
 
@@ -553,7 +696,7 @@ def _summarize(
             divergence_counts[k] = divergence_counts.get(k, 0) + v
         n += chunk_n
         errors.extend(chunk_errors)
-    top = sorted(divergence_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    top = sorted(divergence_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_DIVERGENCE_POINTS]
     return BatchSummary(
         n=n,
         conformant=counts["Conformant"],
@@ -569,12 +712,11 @@ def batch_conform(
     entry_caremap: str,
     traces: list[PatientTrace],
     load_errors: tuple[str, ...] = (),
-    top_k: int = 10,
     workers: int = 1,
 ) -> BatchSummary:
     ordered = sorted(traces, key=lambda t: t.trace_id)
     tallies = map_chunks(_replay_counts, ordered, workers, cmset, entry_caremap)
-    return _summarize(tallies, top_k, load_errors)
+    return _summarize(tallies, load_errors)
 
 
 @dataclass(frozen=True)
@@ -616,4 +758,4 @@ def conform_text(
     """
     lines = _Lines(text.splitlines())
     del text  # so the text can be freed before the traces are built (cmd_conform keeps no copy)
-    return _summarize(map_chunks(_conform_lines, lines, workers, cmset, entry_caremap), 10)
+    return _summarize(map_chunks(_conform_lines, lines, workers, cmset, entry_caremap))

@@ -65,10 +65,6 @@ class ParseResult:
     set: Optional[CaremapSet]
     diagnostics: list[ParseDiagnostic]
 
-    @property
-    def ok(self) -> bool:
-        return self.set is not None
-
 
 class ParseFailure(ValueError):
     def __init__(self, diagnostics: list[ParseDiagnostic]):
@@ -280,11 +276,6 @@ class Parser:
         )
         if len(self.diagnostics) >= MAX_DIAGNOSTICS:
             raise _Bail()
-
-    def _warn(self, code: str, message: str, token: Token) -> None:
-        self.diagnostics.append(
-            ParseDiagnostic(Severity.WARNING, code, message, token.span(self.filename))
-        )
 
     def _resync_stmt(self) -> None:
         while True:

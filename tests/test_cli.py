@@ -228,11 +228,18 @@ _RECORD_EVENTS = {
              {"type": "obs", "var": "glucose", "value": 6, "unit": "mg/dL"}],
     # AmbiguousLabel at the label check (exit 3)
     "label": [{"type": "activity", "ref": "Review"}],
-    # KeyError at load (exit 1)
+    # a load error, not a crash: the other record's error decides
     "noref": [{"type": "activity"}],
 }
 _LABEL_MESSAGE = "activity reference 'Review' matches multiple nodes: ['m.a1', 'm.a2']"
 _UNIT_MESSAGE = "unit mismatch on 'glucose': criterion says 'mmol/L', binding has 'mg/dL'"
+# RecursionError at load (exit 1): nested deeper than the JSON decoder goes
+_DEEP_EVENTS = "[" * 100_000 + "]" * 100_000
+
+
+def _record_line(trace_id, kind):
+    events = _DEEP_EVENTS if kind == "deep" else json.dumps(_RECORD_EVENTS[kind])
+    return f'{{"trace_id": {json.dumps(trace_id)}, "events": {events}}}\n'
 
 
 @pytest.mark.parametrize(
@@ -241,13 +248,16 @@ _UNIT_MESSAGE = "unit mismatch on 'glucose': criterion says 'mmol/L', binding ha
         ([("a", "ok"), ("b", "unit")], _UNIT_MESSAGE),
         ([("a", "ok"), ("b", "label")], _LABEL_MESSAGE),
         ([("a", "arity"), ("b", "label")], _LABEL_MESSAGE),
-        ([("a", "unit"), ("b", "noref")], KeyError),
-        ([("a", "label"), ("b", "noref")], KeyError),
+        ([("a", "unit"), ("b", "deep")], RecursionError),
+        ([("a", "label"), ("b", "deep")], RecursionError),
+        ([("a", "unit"), ("b", "noref")], _UNIT_MESSAGE),
+        ([("a", "label"), ("b", "noref")], _LABEL_MESSAGE),
         ([("z", "arity"), ("a", "unit")], _UNIT_MESSAGE),
         ([("a", "arity"), ("z", "unit")], IndexError),
     ],
     ids=["unit-mismatch", "ambiguous-label", "labels-before-replay", "load-before-replay",
-         "load-before-labels", "replay-in-id-order", "replay-in-id-order-crash"],
+         "load-before-labels", "load-error-then-replay", "load-error-then-labels",
+         "replay-in-id-order", "replay-in-id-order-crash"],
 )
 def test_conform_record_error_same_for_any_workers(records, outcome, tmp_path, capsys):
     # The records land in different chunks when --workers 2; the error reported is the one
@@ -255,12 +265,7 @@ def test_conform_record_error_same_for_any_workers(records, outcome, tmp_path, c
     caremaps = tmp_path / "m.tasc"
     caremaps.write_text(_ERROR_MAP, encoding="utf-8")
     traces = tmp_path / "t.jsonl"
-    traces.write_text(
-        "".join(
-            json.dumps({"trace_id": t, "events": _RECORD_EVENTS[k]}) + "\n" for t, k in records
-        ),
-        encoding="utf-8",
-    )
+    traces.write_text("".join(_record_line(t, k) for t, k in records), encoding="utf-8")
     for workers in ("1", "2"):
         argv = ("conform", str(caremaps), "--traces", str(traces), "--entry", "m",
                 "--workers", workers)
@@ -270,6 +275,80 @@ def test_conform_record_error_same_for_any_workers(records, outcome, tmp_path, c
         else:
             with pytest.raises(outcome):
                 run(*argv)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"events": [{"type": "activity"}]}, "activity event has no 'ref'"),
+        ({"events": [{"type": "obs", "value": 6}]}, "obs event has no 'var'"),
+        ({"events": [{"type": "obs", "var": "glucose"}]}, "obs event has no 'value'"),
+        ({"events": [{"type": "branch", "edge": "d->lo"}]}, "branch event has no 'decision'"),
+        ({"events": [{"type": "branch", "decision": "d"}]}, "branch event has no 'edge'"),
+        ({"events": 5}, "events must be a list, got int"),
+        ({"events": [5]}, "event must be an object, got int"),
+    ],
+    ids=["no-ref", "no-var", "no-value", "no-decision", "no-edge", "events-not-list",
+         "event-not-object"],
+)
+def test_conform_malformed_event_is_load_error(record, message, tmp_path, capsys):
+    caremaps = tmp_path / "m.tasc"
+    caremaps.write_text(_ERROR_MAP, encoding="utf-8")
+    traces = tmp_path / "t.jsonl"
+    traces.write_text(
+        json.dumps({"trace_id": "a", "events": _RECORD_EVENTS["ok"]}) + "\n"
+        + json.dumps({"trace_id": "b", **record}) + "\n",
+        encoding="utf-8",
+    )
+    for workers in ("1", "2"):
+        assert run(
+            "conform", str(caremaps), "--traces", str(traces), "--entry", "m",
+            "--format", "json", "--workers", workers,
+        ) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["n"], doc["conformant"]) == (1, 1)
+        assert doc["load_errors"] == [f"line 2: {message}"]
+
+
+_LOOP_MAP = (
+    'caremap "loop" {\n  entry start; exit done;\n  activity measure "Measure";\n'
+    '  decision again "Again?";\n  start -> measure; measure -> again;\n'
+    "  again -> measure when repeat == yes; again -> done otherwise;\n}\n"
+)
+
+
+def _loop_events(iterations, last="no"):
+    events = []
+    for k in range(iterations):
+        events += [{"type": "obs", "var": "glucose", "value": 5.0 + k % 3, "unit": "mmol/L"},
+                   {"type": "activity", "ref": "measure"},
+                   {"type": "obs", "var": "repeat", "value": "yes"}]
+    events[-1]["value"] = last
+    return events
+
+
+def test_conform_long_loops_same_for_any_workers(tmp_path, capsys):
+    # loops far past the depth where a recursive replay overflowed the stack
+    caremaps = tmp_path / "loop.tasc"
+    caremaps.write_text(_LOOP_MAP, encoding="utf-8")
+    rows = [(f"t{k}", _loop_events(n)) for k, n in enumerate([3, 900, 2500, 40, 1200, 1])]
+    rows.append(("t6", _loop_events(700, last="yes")))  # ends inside the loop
+    traces = tmp_path / "t.jsonl"
+    traces.write_text(
+        "".join(json.dumps({"trace_id": t, "events": ev}) + "\n" for t, ev in rows),
+        encoding="utf-8",
+    )
+    outputs = []
+    for workers in ("1", "2"):
+        assert run(
+            "conform", str(caremaps), "--traces", str(traces), "--entry", "loop",
+            "--format", "json", "--workers", workers,
+        ) == EXIT_FINDINGS
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0].out)
+    assert (doc["n"], doc["conformant"], doc["non_conformant"]) == (7, 6, 1)
+    assert doc["top_divergence_points"] == [{"node": "measure", "count": 1}]
 
 
 def test_fmt_rejects_escaped_newline_in_string(tmp_path, capsys):

@@ -362,3 +362,74 @@ def test_conform_text_matches_batch_conform():
     assert expected.load_errors and expected.n == 40
     for workers in (1, 4):
         assert conform_text(cmset, "m", text, workers=workers) == expected
+
+
+# --- replay depth and cycles ------------------------------------------------
+
+LOOP = (
+    'caremap "m" { entry s; exit e; activity a "A"; decision d "Again?"; '
+    "s -> a; a -> d; d -> a when repeat == yes; d -> e otherwise; }"
+)
+
+
+def test_long_self_loop_replays_at_default_recursion_limit():
+    import sys
+
+    cmset = dsl.parse_or_raise(LOOP)
+    events = []
+    for k in range(10_000):
+        events += [ActivityDone("a"), Observation("repeat", "yes" if k < 9_999 else "no")]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        report, edges = replay_with_edges(cmset, "m", T("t", *events))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.status == "Conformant"
+    assert report.matched_path.count("a") == 10_000
+    assert edges.count(("m", "d->a")) == 9_999 and edges[-1] == ("m", "d->e")
+
+
+def test_decision_only_cycle_ends_in_verdict():
+    # d1 tries d2 first (target-id order), and d2 leads back to d1 without an event
+    cmset = dsl.parse_or_raise(
+        'caremap "m" { entry s; exit done; decision d1 "One?"; decision d2 "Two?"; '
+        "s -> d1; d1 -> d2; d1 -> done; d2 -> d1; }"
+    )
+    ok, edges = replay_with_edges(cmset, "m", T("t"))
+    assert ok.status == "Conformant"
+    assert ok.matched_path == ("s", "d1", "done")
+    assert edges == (("m", "s->d1"), ("m", "d1->done"))
+    bad = replay(cmset, "m", T("t", ActivityDone("x")))
+    assert bad.status == "NonConformant"
+    assert bad.variance_kind == "UnexpectedActivity" and bad.divergence_node == "done"
+
+
+
+def test_self_nesting_cycle_ends_in_verdict():
+    # d calls m again before any event is consumed, at every depth
+    import sys
+
+    cmset = dsl.parse_or_raise(
+        'caremap "m" { entry s; exit e; nested decision d "D" ref m; s -> d; d -> e; }'
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        reports = [replay(cmset, "m", T("t", *events)) for events in ((), (ActivityDone("x"),))]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [r.status for r in reports] == ["NonConformant", "NonConformant"]
+
+
+def test_left_recursive_nesting_matches_at_any_depth():
+    # m is zero or more a: s -> e, or a nested m and then a; k a's need k calls at index 0
+    cmset = dsl.parse_or_raise(
+        'caremap "m" { entry s; exit e; activity a "A"; nested decision d "D" ref m; '
+        "s -> d; s -> e; d -> a; a -> e; }"
+    )
+    for k in range(6):
+        report = replay(cmset, "m", T("t", *[ActivityDone("a")] * k))
+        assert report.status == "Conformant"
+        assert report.matched_path.count("d") == k and report.matched_path.count("a") == k
+    assert replay(cmset, "m", T("t", ActivityDone("a"), ActivityDone("b"))).status == "NonConformant"
