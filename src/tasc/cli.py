@@ -224,13 +224,14 @@ def cmd_synth_check(args) -> int:
     model = synthesis.model_from_json(_read_input(args.model))
     stm = synthesis.compile_stm(cmset, args.entry, model)
     if args.traces:
-        traces, _ = conformance.load_traces(_read_input(args.traces))
+        summary = conformance.conform_text(cmset, args.entry, _read_input(args.traces))
     elif args.count is not None:
         traces = list(synthesis.generate(stm, args.count, args.seed))
+        summary = conformance.batch_conform(cmset, args.entry, traces)
     else:
         print("synth-check needs --traces or -n/--seed", file=sys.stderr)
         return EXIT_USAGE
-    report = synthesis.frequency_report(traces, stm)
+    report = synthesis.edge_report(stm, summary)
     if args.format == "json":
         print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
     else:
@@ -242,7 +243,20 @@ def cmd_synth_check(args) -> int:
         print(f"max delta: {report.max_delta:.6f} (tolerance {args.tolerance})")
         if report.unmatched_traces:
             print(f"unmatched traces: {report.unmatched_traces}", file=sys.stderr)
+    for err in summary.load_errors:
+        print(f"  load error: {err}", file=sys.stderr)
     return EXIT_FINDINGS if report.max_delta > args.tolerance else EXIT_OK
+
+
+def _count(text: str) -> int:
+    """argparse type of -n/--count: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="FILE")
     p.add_argument("--model", required=True, metavar="MODEL.json")
     p.add_argument("--entry", required=True, metavar="ID")
-    p.add_argument("-n", "--count", type=int, required=True)
+    p.add_argument("-n", "--count", type=_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, metavar="JSONL")
     p.add_argument("--workers", type=int, default=1)
@@ -304,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, metavar="MODEL.json")
     p.add_argument("--entry", required=True, metavar="ID")
     p.add_argument("--traces", metavar="JSONL")
-    p.add_argument("-n", "--count", type=int)
+    p.add_argument("-n", "--count", type=_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=0.02)
     p.add_argument("--format", choices=["text", "json"], default="text")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -140,7 +141,7 @@ def event_from_dict(d: dict) -> TraceEvent:
 def trace_from_json(line: str) -> PatientTrace:
     try:
         d = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too-deep nesting and too-long integers
         raise TraceFormatError(f"bad JSON: {e}") from e
     if not isinstance(d, dict) or "trace_id" not in d:
         raise TraceFormatError("trace record needs a trace_id")
@@ -600,6 +601,8 @@ class BatchSummary:
     undetermined: int
     top_divergence_points: tuple[tuple[str, int], ...]
     load_errors: tuple[str, ...] = ()
+    # (caremap id, edge id) -> times the witness walks of conformant traces took it
+    edge_counts: Counter = field(default_factory=Counter, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -631,8 +634,9 @@ def map_chunks(fn: Callable, items: Sequence, workers: int, *args) -> list:
         return list(pool.map(partial(fn, *args), chunks))
 
 
-# One chunk's tally: (status counts, divergence-node counts, traces, load errors).
-_Tally = tuple[dict[str, int], dict[str, int], int, tuple[str, ...]]
+# One chunk's tally: (status counts, divergence-node counts, traces, load errors,
+# witness-edge counts).
+_Tally = tuple[dict[str, int], dict[str, int], int, tuple[str, ...], Counter]
 
 _LOAD, _LABELS, _REPLAY = range(3)
 
@@ -657,17 +661,19 @@ def _replay_counts(
 ) -> Union[_Tally, _Crash]:
     counts = {"Conformant": 0, "NonConformant": 0, "Undetermined": 0}
     divergence_counts: dict[str, int] = {}
+    edge_counts: Counter = Counter()
     for trace in traces:
         try:
-            report = replay(cmset, entry_caremap, trace)
+            report, edges = replay_with_edges(cmset, entry_caremap, trace)
         except Exception as e:
             return _Crash.of(_REPLAY, trace.trace_id, e)
         counts[report.status] += 1
+        edge_counts.update(edges)
         if report.status != "Conformant" and report.divergence_node is not None:
             divergence_counts[report.divergence_node] = (
                 divergence_counts.get(report.divergence_node, 0) + 1
             )
-    return counts, divergence_counts, len(traces), tuple(load_errors)
+    return counts, divergence_counts, len(traces), tuple(load_errors), edge_counts
 
 
 def _summarize(
@@ -687,15 +693,17 @@ def _summarize(
         raise crash.error
     counts = {"Conformant": 0, "NonConformant": 0, "Undetermined": 0}
     divergence_counts: dict[str, int] = {}
+    edge_counts: Counter = Counter()
     n = 0
     errors = list(load_errors)
-    for c, d, chunk_n, chunk_errors in results:
+    for c, d, chunk_n, chunk_errors, chunk_edges in results:
         for k, v in c.items():
             counts[k] += v
         for k, v in d.items():
             divergence_counts[k] = divergence_counts.get(k, 0) + v
         n += chunk_n
         errors.extend(chunk_errors)
+        edge_counts.update(chunk_edges)
     top = sorted(divergence_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_DIVERGENCE_POINTS]
     return BatchSummary(
         n=n,
@@ -704,6 +712,7 @@ def _summarize(
         undetermined=counts["Undetermined"],
         top_divergence_points=tuple(top),
         load_errors=tuple(errors),
+        edge_counts=edge_counts,
     )
 
 

@@ -10,11 +10,12 @@ from typing import Iterator, Optional, Union
 from tasc import criteria as C
 from tasc.conformance import (
     ActivityDone,
+    BatchSummary,
     BranchTaken,
     Observation,
     PatientTrace,
     TraceEvent,
-    replay_with_edges,
+    batch_conform,
 )
 from tasc.dsl import serialize
 from tasc.model import (
@@ -183,29 +184,43 @@ def model_to_json(model: TransitionModel) -> str:
 
 
 def model_from_json(text: str) -> TransitionModel:
+    """Parse a model document; one of the wrong shape raises ValueError naming the entry."""
     doc = json.loads(text)
-    if doc.get("tasc_model") != 1:
+    if not isinstance(doc, dict) or doc.get("tasc_model") != 1:
         raise ValueError("not a tasc transition model (tasc_model != 1)")
+    nodes, emitter_lists = doc.get("nodes", {}), doc.get("emitters", {})
+    if not (isinstance(nodes, dict) and isinstance(emitter_lists, dict)):
+        raise ValueError("model nodes and emitters must be JSON objects")
     branch_modes: list[tuple[str, BranchMode]] = []
-    for key in sorted(doc.get("nodes", {})):
-        entry = doc["nodes"][key]
-        if entry.get("mode") == "edge_probs":
-            probs = tuple(sorted((e, float(p)) for e, p in entry["probs"].items()))
-            branch_modes.append((key, EdgeProbabilities(probs)))
-        elif entry.get("mode") == "sampler":
-            branch_modes.append(
-                (key, VariableSampler(entry["var"], _dist_from_json(entry["dist"]), entry.get("unit")))
-            )
-        else:
-            raise ValueError(f"unknown mode for {key}: {entry.get('mode')!r}")
     emitters: list[tuple[str, tuple[Emitter, ...]]] = []
-    for key in sorted(doc.get("emitters", {})):
-        ems = tuple(
-            Emitter(e["var"], _dist_from_json(e["dist"]), e.get("unit"))
-            for e in doc["emitters"][key]
-        )
-        emitters.append((key, ems))
-    return TransitionModel(tuple(branch_modes), tuple(emitters), int(doc.get("seed", 0)))
+    try:
+        for key in sorted(nodes):
+            where = f"model node {key!r}"
+            entry = nodes[key]
+            if entry.get("mode") == "edge_probs":
+                probs = tuple(sorted((e, float(p)) for e, p in entry["probs"].items()))
+                branch_modes.append((key, EdgeProbabilities(probs)))
+            elif entry.get("mode") == "sampler":
+                sampler = VariableSampler(
+                    entry["var"], _dist_from_json(entry["dist"]), entry.get("unit")
+                )
+                branch_modes.append((key, sampler))
+            else:
+                raise ValueError(f"unknown mode for {key}: {entry.get('mode')!r}")
+        for key in sorted(emitter_lists):
+            where = f"model emitter {key!r}"
+            ems = tuple(
+                Emitter(e["var"], _dist_from_json(e["dist"]), e.get("unit"))
+                for e in emitter_lists[key]
+            )
+            emitters.append((key, ems))
+        where = "model seed"
+        seed = int(doc.get("seed", 0))
+    except KeyError as e:
+        raise ValueError(f"{where} has no {e.args[0]!r}") from None
+    except (AttributeError, TypeError) as e:  # a value of the wrong JSON type
+        raise ValueError(f"{where} is malformed: {e}") from None
+    return TransitionModel(tuple(branch_modes), tuple(emitters), seed)
 
 
 # --- compilation ------------------------------------------------------------
@@ -514,39 +529,27 @@ class FrequencyReport:
 def frequency_report(traces: list[PatientTrace], stm: STM) -> FrequencyReport:
     """Compare annotated edge probabilities with empirical branch frequencies.
 
-    Traces are replayed to recover the edges each walk took; empirical
-    frequency is computed over visits to the branching node only.
+    The traces are replayed by batch_conform, without the label check, and
+    the witness walks' edge counts are compared by edge_report.
     """
-    edge_owner: dict[tuple[str, str], str] = {}
-    expected: dict[tuple[str, str], float] = {}
+    return edge_report(stm, batch_conform(stm.cmset, stm.entry_caremap, traces))
+
+
+def edge_report(stm: STM, summary: BatchSummary) -> FrequencyReport:
+    """Compare the model's edge_probs annotations with a batch's witness-edge counts.
+
+    An edge's empirical frequency is its count over the visits to its
+    branching node, which are the counts of that node's annotated edges
+    summed. Traces that did not conform count as unmatched.
+    """
+    rows = []
     for key, mode in stm.model.branch_modes:
         if not isinstance(mode, EdgeProbabilities):
             continue
         cm_id, node_id = key.split(".", 1)
-        for edge_id, p in mode.probs:
-            edge_owner[(cm_id, edge_id)] = node_id
-            expected[(cm_id, edge_id)] = p
-
-    edge_counts: dict[tuple[str, str], int] = {k: 0 for k in expected}
-    node_visits: dict[tuple[str, str], int] = {}
-    unmatched = 0
-    for trace in traces:
-        report, edges = replay_with_edges(stm.cmset, stm.entry_caremap, trace)
-        if report.status != "Conformant":
-            unmatched += 1
-            continue
-        for cm_id, edge_id in edges:
-            key = (cm_id, edge_id)
-            if key in edge_counts:
-                edge_counts[key] += 1
-                node = edge_owner[key]
-                node_visits[(cm_id, node)] = node_visits.get((cm_id, node), 0) + 1
-
-    rows = []
-    for (cm_id, edge_id) in sorted(expected):
-        node_id = edge_owner[(cm_id, edge_id)]
-        visits = node_visits.get((cm_id, node_id), 0)
-        empirical = edge_counts[(cm_id, edge_id)] / visits if visits else 0.0
-        rows.append(FrequencyRow(cm_id, node_id, edge_id, expected[(cm_id, edge_id)], empirical))
+        taken = [summary.edge_counts[cm_id, edge_id] for edge_id, _ in mode.probs]
+        visits = sum(taken)
+        for (edge_id, p), count in zip(mode.probs, taken):
+            rows.append(FrequencyRow(cm_id, node_id, edge_id, p, count / visits if visits else 0.0))
     rows.sort(key=lambda r: (r.caremap, r.node, r.edge))
-    return FrequencyReport(tuple(rows), unmatched)
+    return FrequencyReport(tuple(rows), summary.n - summary.conformant)

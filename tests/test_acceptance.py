@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import time
 
 import pytest
 
+import tasc
 from tasc import criteria as C
 from tasc import dsl, ingest, render, validator
 from tasc.conformance import ActivityDone, PatientTrace, batch_conform, replay
@@ -195,6 +197,10 @@ def test_acceptance_6_determinism(tmp_path, labour_set, labour_counts_text):
     model_path.write_text(model_to_json(model), encoding="utf-8")
     caremaps = str(CORPUS / "labour_birth.tasc")
     outputs = []
+    # the child imports the tasc this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(tasc.__file__))
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     runs = [("w1a", "1"), ("w4", "4"), ("w16", "16"), ("w1b", "1"), ("w1c", "1")]
     for name, workers in runs:
         out = tmp_path / f"{name}.jsonl"
@@ -205,6 +211,7 @@ def test_acceptance_6_determinism(tmp_path, labour_set, labour_counts_text):
                 "--out", str(out), "--workers", workers,
             ],
             capture_output=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out.read_bytes())

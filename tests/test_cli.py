@@ -4,6 +4,7 @@ import io
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -233,8 +234,23 @@ _RECORD_EVENTS = {
 }
 _LABEL_MESSAGE = "activity reference 'Review' matches multiple nodes: ['m.a1', 'm.a2']"
 _UNIT_MESSAGE = "unit mismatch on 'glucose': criterion says 'mmol/L', binding has 'mg/dL'"
-# RecursionError at load (exit 1): nested deeper than the JSON decoder goes
+# a load error: nested deeper than the JSON decoder goes
 _DEEP_EVENTS = "[" * 100_000 + "]" * 100_000
+# a load error: an integer longer than Python converts from a string
+_BIG_INT_EVENTS = '[{"type": "obs", "var": "glucose", "value": ' + "9" * 5000 + "}]"
+_ERROR_MODEL = json.dumps({"tasc_model": 1, "nodes": {
+    "m.d": {"mode": "sampler", "var": "glucose", "unit": "mmol/L",
+            "dist": {"kind": "categorical", "values": [6, 9], "probs": [0.5, 0.5]}},
+    "m.d2": {"mode": "edge_probs", "probs": {"d2->hi": 0.5, "d2->lo": 0.5}},
+}})
+
+
+def _error_files(tmp_path, traces_text):
+    """Write _ERROR_MAP, _ERROR_MODEL and traces_text; returns their paths."""
+    paths = (tmp_path / "m.tasc", tmp_path / "m.json", tmp_path / "t.jsonl")
+    for path, text in zip(paths, (_ERROR_MAP, _ERROR_MODEL, traces_text)):
+        path.write_text(text, encoding="utf-8")
+    return [str(path) for path in paths]
 
 
 def _record_line(trace_id, kind):
@@ -248,8 +264,8 @@ def _record_line(trace_id, kind):
         ([("a", "ok"), ("b", "unit")], _UNIT_MESSAGE),
         ([("a", "ok"), ("b", "label")], _LABEL_MESSAGE),
         ([("a", "arity"), ("b", "label")], _LABEL_MESSAGE),
-        ([("a", "unit"), ("b", "deep")], RecursionError),
-        ([("a", "label"), ("b", "deep")], RecursionError),
+        ([("a", "unit"), ("b", "deep")], _UNIT_MESSAGE),
+        ([("a", "label"), ("b", "deep")], _LABEL_MESSAGE),
         ([("a", "unit"), ("b", "noref")], _UNIT_MESSAGE),
         ([("a", "label"), ("b", "noref")], _LABEL_MESSAGE),
         ([("z", "arity"), ("a", "unit")], _UNIT_MESSAGE),
@@ -262,13 +278,16 @@ def _record_line(trace_id, kind):
 def test_conform_record_error_same_for_any_workers(records, outcome, tmp_path, capsys):
     # The records land in different chunks when --workers 2; the error reported is the one
     # a serial run meets first: load, then label check, then replay in trace-id order.
-    caremaps = tmp_path / "m.tasc"
-    caremaps.write_text(_ERROR_MAP, encoding="utf-8")
-    traces = tmp_path / "t.jsonl"
-    traces.write_text("".join(_record_line(t, k) for t, k in records), encoding="utf-8")
-    for workers in ("1", "2"):
-        argv = ("conform", str(caremaps), "--traces", str(traces), "--entry", "m",
-                "--workers", workers)
+    # synth-check --traces replays through the same driver, so it meets the same error.
+    caremaps, model, traces = _error_files(
+        tmp_path, "".join(_record_line(t, k) for t, k in records)
+    )
+    conform = ("conform", caremaps, "--traces", traces, "--entry", "m", "--workers")
+    for argv in (
+        (*conform, "1"),
+        (*conform, "2"),
+        ("synth-check", caremaps, "--model", model, "--traces", traces, "--entry", "m"),
+    ):
         if isinstance(outcome, str):
             assert run(*argv) == EXIT_IO
             assert capsys.readouterr() == ("", outcome + "\n")
@@ -287,27 +306,41 @@ def test_conform_record_error_same_for_any_workers(records, outcome, tmp_path, c
         ({"events": [{"type": "branch", "decision": "d"}]}, "branch event has no 'edge'"),
         ({"events": 5}, "events must be a list, got int"),
         ({"events": [5]}, "event must be an object, got int"),
+        (_DEEP_EVENTS, "bad JSON: maximum recursion depth exceeded while decoding a JSON "
+                       "array from a unicode string"),
+        (_BIG_INT_EVENTS, "bad JSON: Exceeds the limit (4300 digits) for integer string "
+                          "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+                          "to increase the limit"),
     ],
     ids=["no-ref", "no-var", "no-value", "no-decision", "no-edge", "events-not-list",
-         "event-not-object"],
+         "event-not-object", "deep", "big-int"],
 )
 def test_conform_malformed_event_is_load_error(record, message, tmp_path, capsys):
-    caremaps = tmp_path / "m.tasc"
-    caremaps.write_text(_ERROR_MAP, encoding="utf-8")
-    traces = tmp_path / "t.jsonl"
-    traces.write_text(
-        json.dumps({"trace_id": "a", "events": _RECORD_EVENTS["ok"]}) + "\n"
-        + json.dumps({"trace_id": "b", **record}) + "\n",
-        encoding="utf-8",
-    )
+    # record: the fields of trace "b" besides its trace_id, or the raw JSON of its events
+    good = json.dumps({"trace_id": "a", "events": _RECORD_EVENTS["ok"]}) + "\n"
+    if isinstance(record, str):
+        bad = f'{{"trace_id": "b", "events": {record}}}\n'
+    else:
+        bad = json.dumps({"trace_id": "b", **record}) + "\n"
+    caremaps, model, traces = _error_files(tmp_path, good + bad)
     for workers in ("1", "2"):
         assert run(
-            "conform", str(caremaps), "--traces", str(traces), "--entry", "m",
+            "conform", caremaps, "--traces", traces, "--entry", "m",
             "--format", "json", "--workers", workers,
         ) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert (doc["n"], doc["conformant"]) == (1, 1)
         assert doc["load_errors"] == [f"line 2: {message}"]
+    # synth-check lists the load error on stderr and reports on the valid trace alone
+    check = ("synth-check", caremaps, "--model", model, "--traces", traces, "--entry", "m",
+             "--format", "json")
+    assert run(*check) == EXIT_FINDINGS
+    both = capsys.readouterr()
+    assert both.err == f"  load error: line 2: {message}\n"
+    assert json.loads(both.out)["unmatched_traces"] == 0
+    Path(traces).write_text(good, encoding="utf-8")
+    assert run(*check) == EXIT_FINDINGS
+    assert capsys.readouterr() == (both.out, "")
 
 
 _LOOP_MAP = (
@@ -422,6 +455,87 @@ def test_synth_check_within_tolerance(model_path, capsys):
         "-n", "2000", "--seed", "5", "--tolerance", "0.05",
     ) == EXIT_OK
     assert "max delta" in capsys.readouterr().out
+
+
+_DOSE_LOOP_MAP = (
+    'caremap "loop" {\n  entry start; exit done;\n'
+    '  activity measure "Measure"; activity low "Low dose"; activity high "High dose";\n'
+    '  decision dose "Dose?"; decision again "Again?";\n'
+    "  start -> measure; measure -> dose; low -> again; high -> again;\n"
+    "  dose -> low when level == low; dose -> high otherwise;\n"
+    "  again -> measure when repeat == yes; again -> done otherwise;\n}\n"
+)
+_DOSE_LOOP_MODEL = json.dumps({"tasc_model": 1, "nodes": {
+    "loop.again": {"mode": "sampler", "var": "repeat",
+                   "dist": {"kind": "categorical", "values": ["yes", "no"], "probs": [0.8, 0.2]}},
+    "loop.dose": {"mode": "edge_probs", "probs": {"dose->high": 0.7, "dose->low": 0.3}},
+}, "emitters": {"loop.measure": [
+    {"var": "glucose", "unit": "mmol/L", "dist": {"kind": "normal", "mu": 6.0, "sigma": 1.0}},
+]}})
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", ["labour_birth", "loop"])
+def test_synth_check_generated_same_as_replayed(case, fmt, model_path, tmp_path, capsys):
+    # -n replays the traces it generates; --traces replays synth's file of the same traces
+    if case == "loop":
+        caremaps, model = tmp_path / "loop.tasc", tmp_path / "loop.json"
+        caremaps.write_text(_DOSE_LOOP_MAP, encoding="utf-8")
+        model.write_text(_DOSE_LOOP_MODEL, encoding="utf-8")
+        common = (str(caremaps), "--model", str(model), "--entry", "loop")
+    else:
+        common = (LABOUR, "--model", model_path, "--entry", "labour_birth")
+    traces = str(tmp_path / "t.jsonl")
+    assert run("synth", *common, "-n", "300", "--seed", "11", "--out", traces) == EXIT_OK
+    outputs = []
+    for source in (("-n", "300", "--seed", "11"), ("--traces", traces)):
+        code = run("synth-check", *common, *source, "--format", fmt, "--tolerance", "0.1")
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    code, captured = outputs[0]
+    assert code == EXIT_OK and captured.err == ""
+    assert captured.out.count("empirical") == (5 if case == "labour_birth" else 2)
+    if fmt == "json":  # a node's visits are the counts of its edges summed
+        per_node: dict = {}
+        for row in json.loads(captured.out)["rows"]:
+            per_node[row["node"]] = per_node.get(row["node"], 0.0) + row["empirical"]
+        assert all(abs(total - 1.0) < 1e-9 for total in per_node.values())
+
+
+@pytest.mark.parametrize("command", ["synth", "synth-check"])
+def test_negative_count_is_usage_error(command, model_path, tmp_path, capsys):
+    out = tmp_path / "o.jsonl"
+    extra = ["--out", str(out)] if command == "synth" else []
+    with pytest.raises(SystemExit) as exc:
+        run(command, LABOUR, "--model", model_path, "--entry", "labour_birth",
+            "-n", "-5", "--seed", "0", *extra)
+    assert exc.value.code == EXIT_USAGE
+    assert "argument -n/--count: expected an integer >= 0, got '-5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "not a tasc transition model (tasc_model != 1)"),
+        ({"labour_birth.onset": {"mode": "edge_probs"}},
+         "model node 'labour_birth.onset' has no 'probs'"),
+        ({"labour_birth.onset": {"mode": "sampler", "var": "onset_type",
+                                 "dist": {"kind": "normal", "mu": 0.5}}},
+         "model node 'labour_birth.onset' has no 'sigma'"),
+    ],
+    ids=["top-level-list", "no-probs", "no-sigma"],
+)
+def test_malformed_model_exit_three(doc, message, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    if isinstance(doc, dict):
+        doc = {"tasc_model": 1, "nodes": doc}
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(
+        "synth", LABOUR, "--model", str(model), "--entry", "labour_birth",
+        "-n", "1", "--seed", "0", "--out", str(tmp_path / "o.jsonl"),
+    ) == EXIT_IO
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_synth_check_needs_input():

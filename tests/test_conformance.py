@@ -324,6 +324,9 @@ def test_batch_counts():
     assert summary.undetermined == 0
     assert summary.top_divergence_points
     assert summary.as_dict()["n"] == 4
+    # only the witness walks of conformant traces are counted
+    assert summary.edge_counts == {("m", "s->a"): 2, ("m", "a->e"): 2}
+    assert "edge_counts" not in summary.as_dict()
 
 
 def test_batch_workers_agree():
@@ -335,6 +338,7 @@ def test_batch_workers_agree():
     serial = batch_conform(cmset, "m", traces, workers=1)
     parallel = batch_conform(cmset, "m", traces, workers=4)
     assert serial == parallel
+    assert serial.edge_counts and serial.edge_counts == parallel.edge_counts
 
 
 def test_batch_workers_capped_at_trace_count(inline_pool):
@@ -361,7 +365,8 @@ def test_conform_text_matches_batch_conform():
     expected = batch_conform(cmset, "m", loaded, tuple(errors))
     assert expected.load_errors and expected.n == 40
     for workers in (1, 4):
-        assert conform_text(cmset, "m", text, workers=workers) == expected
+        summary = conform_text(cmset, "m", text, workers=workers)
+        assert summary == expected and summary.edge_counts == expected.edge_counts
 
 
 # --- replay depth and cycles ------------------------------------------------
