@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Exit status contract: 0 success; 1 validation/conformance findings;
-2 usage error; 3 I/O or input-format error.
+2 usage error; 3 I/O or input-format error, including a caremap set whose
+links or nested refs name an absent caremap or node (conform, synth,
+synth-check) and a model under which a trace exceeds the generation step
+cap (synth, synth-check -n).
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from tasc import conformance, dsl, ingest, render, synthesis, validator
-from tasc.model import CaremapSet, ModelError, PathExplosion, enumerate_paths
+from tasc.model import CaremapSet, ModelError, PathExplosion, enumerate_paths, resolve_refs
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -89,10 +92,18 @@ def _load_set(path: str) -> CaremapSet:
 
 
 def _load_entry_set(args) -> CaremapSet:
-    """Load args.file and check that it holds the caremap named by --entry."""
+    """Load args.file, check that it holds the caremap named by --entry and that
+    its links and nested refs resolve.
+
+    A nesting cycle is left to the command: replay cuts it and gives a verdict,
+    and compile_stm rejects it with the validator's diagnostics.
+    """
     cmset = _load_set(args.file)
     if not cmset.has_caremap(args.entry):
         raise CliUsageError(f"no caremap {args.entry!r} in {args.file}")
+    dangling = [e.message for e in resolve_refs(cmset) if e.code != "NestingCycle"]
+    if dangling:
+        raise CliIOError("\n".join(f"{args.file}: {message}" for message in dangling))
     return cmset
 
 
@@ -203,7 +214,7 @@ def cmd_ingest(args) -> int:
 
 
 def _synth_chunk(stm, seed, indices):
-    return [conformance.trace_to_json(synthesis.generate_one(stm, seed, i)) for i in indices]
+    return [synthesis.generate_line(stm, seed, i) for i in indices]
 
 
 def cmd_synth(args) -> int:
@@ -343,6 +354,7 @@ def main(argv=None) -> int:
     except (
         ingest.IngestError,
         synthesis.CompileError,
+        synthesis.StepCapExceeded,
         conformance.AmbiguousLabel,
         conformance.TraceFormatError,
         ValueError,

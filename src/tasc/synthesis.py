@@ -5,6 +5,8 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import isfinite
 from typing import Iterator, Optional, Union
 
 from tasc import criteria as C
@@ -14,11 +16,12 @@ from tasc.conformance import (
     BranchTaken,
     Observation,
     PatientTrace,
-    TraceEvent,
+    _plan,
     batch_conform,
 )
 from tasc.dsl import serialize
 from tasc.model import (
+    ACTIVITY_KINDS,
     Caremap,
     CaremapSet,
     DECISION_KINDS,
@@ -362,6 +365,14 @@ def _check_links(cmset: CaremapSet, cm: Caremap) -> None:
 
 
 # --- generation -------------------------------------------------------------
+#
+# Generation walks the replay plan's _Nodes (conformance._plan), so it shares
+# replay's structure: kinds, out-edges by edge id, criteria branches, nested
+# entries and links. What depends on the model lives in a per-STM table of
+# _NodeModels, built once per STM per process. The walker writes each event
+# either as its dataclass or as its JSON text, from fragments encoded when the
+# table is built, so a CLI line is joined from strings, with no event dataclass
+# or dict in between.
 
 
 def _trace_rng(seed: int, index: int) -> random.Random:
@@ -369,26 +380,141 @@ def _trace_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _sample(dist: Distribution, rng: random.Random):
-    if isinstance(dist, Categorical):
-        return rng.choices(dist.values, weights=dist.probs, k=1)[0]
-    if isinstance(dist, NormalDist):
-        return rng.gauss(dist.mu, dist.sigma)
-    return rng.uniform(dist.a, dist.b)
+def _encode(value) -> str:
+    """value as json.dumps(..., sort_keys=True) writes it inside a trace line."""
+    if type(value) is float and isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, sort_keys=True)
 
 
-def generate_one(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_CAP) -> PatientTrace:
-    """Generate trace `index` as a pure function of (seed, index)."""
+class _Draw:
+    """A variable's distribution made ready to sample, with its event's JSON pieces."""
+
+    __slots__ = ("var", "unit", "dist", "head", "tail", "picks", "cum")
+
+    def __init__(self, var, dist: Distribution, unit):
+        self.var, self.unit, self.dist = var, unit, dist
+        unit_text = "" if unit is None else f'"unit": {_encode(unit)}, '
+        self.head = f', "type": "obs", {unit_text}"value": '
+        self.tail = f', "var": {_encode(var)}}}'
+        self.picks: Optional[list] = None  # a categorical's [(value, event JSON after "at")]
+        self.cum: Optional[list[float]] = None
+        if isinstance(dist, Categorical):
+            self.picks = [(v, self.head + _encode(v) + self.tail) for v in dist.values]
+            self.cum = list(accumulate(dist.probs))
+
+    def draw(self, rng: random.Random) -> tuple:
+        """Make the one RNG call the distribution needs, with the model's arguments.
+
+        Returns the value and the event's JSON after its "at" field, or None
+        in place of the JSON for a continuous value, which is encoded on use.
+        """
+        if self.picks is not None:
+            # choices with cum_weights consumes the same draw as with weights
+            return rng.choices(self.picks, cum_weights=self.cum)[0]
+        dist = self.dist
+        if isinstance(dist, NormalDist):
+            return rng.gauss(dist.mu, dist.sigma), None
+        return rng.uniform(dist.a, dist.b), None
+
+
+class _NodeModel:
+    """The model-dependent fields of one plan node, for one STM."""
+
+    __slots__ = ("emitters", "done", "edges", "cum", "sampler")
+
+    def __init__(self, node, model: TransitionModel):
+        cm_id = node.cm.id
+        self.emitters: tuple[_Draw, ...] = ()
+        self.done = ""  # JSON of its ActivityDone after the "at" field
+        if node.kind in ACTIVITY_KINDS:
+            self.emitters = tuple(
+                _Draw(em.var, em.dist, em.unit) for em in model.emitters_for(cm_id, node.id)
+            )
+            self.done = f', "ref": {_encode(node.id)}, "type": "activity"}}'
+        # edge_probs: [(edge id, JSON of its branch event or None)] and cumulative weights
+        self.edges: Optional[list] = None
+        self.cum: Optional[list[float]] = None
+        self.sampler: Optional[_Draw] = None
+        mode = model.mode_for(cm_id, node.id)
+        if isinstance(mode, EdgeProbabilities):
+            self.edges = [
+                (edge, _branch_json(node.id, edge) if node.kind in DECISION_KINDS else None)
+                for edge, _ in mode.probs
+            ]
+            self.cum = list(accumulate(p for _, p in mode.probs))
+        elif isinstance(mode, VariableSampler):
+            self.sampler = _Draw(mode.var, mode.dist, mode.unit)
+
+
+def _branch_json(decision: str, edge: str) -> str:
+    return f'{{"decision": {_encode(decision)}, "edge": {_encode(edge)}, "type": "branch"}}'
+
+
+class _Generator:
+    """The plan of an STM's caremap set, its entry node and its per-node model table."""
+
+    def __init__(self, stm: STM):
+        self.stm = stm
+        plan = _plan(stm.cmset)
+        cm = stm.cmset.caremap(stm.entry_caremap)
+        self.start = plan.nodes[cm.id, cm.entry_nodes()[0].id]
+        self.models = {node: _NodeModel(node, stm.model) for node in plan.nodes.values()}
+
+
+_generator_cache: list = [None]
+
+
+def _generator(stm: STM) -> _Generator:
+    # One slot, like the replay plan's: a run generates every trace from one
+    # STM, and the slot holds the STM, so its id cannot be reused while cached.
+    gen = _generator_cache[0]
+    if gen is None or gen.stm is not stm:
+        gen = _generator_cache[0] = _Generator(stm)
+    return gen
+
+
+class _Var:
+    """One variable's observations so far in a trace, read by criteria as a Binding."""
+
+    __slots__ = ("value", "unit", "values")
+
+    def __init__(self, value, unit):
+        self.value, self.unit, self.values = value, unit, [value]
+
+    def series(self) -> tuple:
+        return tuple(self.values)
+
+
+def _observe(draw: _Draw, rng, at: int, bound: dict, out: list, as_json: bool) -> None:
+    value, text = draw.draw(rng)
+    if as_json:
+        if text is None:
+            text = draw.head + _encode(value) + draw.tail
+        out.append(f'{{"at": {at}{text}')
+    else:
+        out.append(Observation(draw.var, value, draw.unit, at))
+    var = bound.get(draw.var)
+    if var is None:
+        bound[draw.var] = _Var(value, draw.unit)
+    else:
+        var.value = value
+        var.values.append(value)
+        if draw.unit is not None:
+            var.unit = draw.unit
+
+
+def _walk(stm: STM, seed: int, index: int, step_cap: int, as_json: bool) -> list:
+    """The events of trace `index`, as dataclasses or (as_json) as their JSON texts."""
+    gen = _generator(stm)
+    models = gen.models
     rng = _trace_rng(seed, index)
-    events: list[TraceEvent] = []
-    bindings: C.Bindings = {}
+    out: list = []
+    bound: dict[str, _Var] = {}  # the criteria bindings, updated in place
     at = 0
     steps = 0
-    cmset = stm.cmset
-    cm = cmset.caremap(stm.entry_caremap)
-    node = cm.entry_nodes()[0]
-    stack: list[tuple[Caremap, str]] = []  # (caremap, node to resume from)
-
+    node = gen.start
+    stack: list = []  # nested nodes to resume at
     while True:
         steps += 1
         if steps > step_cap:
@@ -397,76 +523,61 @@ def generate_one(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_C
                 "near-inescapable loop"
             )
         kind = node.kind
-
-        if kind in (NodeKind.ACTIVITY, NodeKind.NESTED_ACTIVITY):
-            for em in stm.model.emitters_for(cm.id, node.id):
-                value = _sample(em.dist, rng)
-                events.append(Observation(em.var, value, em.unit, at))
-                bindings = C.bind(bindings, em.var, value, em.unit)
-            events.append(ActivityDone(node.id, at))
+        # identity tests: `kind in ACTIVITY_KINDS` would hash the enum in Python
+        if kind is NodeKind.ACTIVITY or kind is NodeKind.NESTED_ACTIVITY:
+            m = models[node]
+            for draw in m.emitters:
+                _observe(draw, rng, at, bound, out, as_json)
+            out.append(f'{{"at": {at}{m.done}' if as_json else ActivityDone(node.id, at))
             at += 1
             if kind is NodeKind.NESTED_ACTIVITY:
-                stack.append((cm, node.id))
-                cm = cmset.caremap(node.nested_ref)
-                node = cm.entry_nodes()[0]
+                stack.append(node)
+                node = node.child[0][1]
                 continue
-            node, bindings = _choose_next(stm, cm, node.id, rng, bindings, events, at)
+        elif kind is NodeKind.NESTED_DECISION:
+            stack.append(node)
+            node = node.child[0][1]
             continue
-
-        if kind in (NodeKind.DECISION, NodeKind.NESTED_DECISION):
-            if kind is NodeKind.NESTED_DECISION:
-                stack.append((cm, node.id))
-                cm = cmset.caremap(node.nested_ref)
-                node = cm.entry_nodes()[0]
-                continue
-            node, bindings = _choose_next(stm, cm, node.id, rng, bindings, events, at)
-            continue
-
-        if kind is NodeKind.ENTRY_POINT:
-            node, bindings = _choose_next(stm, cm, node.id, rng, bindings, events, at)
-            continue
-
-        if kind is NodeKind.EXIT_POINT:
+        elif kind is NodeKind.EXIT_POINT:
             if stack:
-                cm, resume_id = stack.pop()
-                node, bindings = _choose_next(stm, cm, resume_id, rng, bindings, events, at)
+                node = stack.pop()  # pick the nested node's successor
+            elif node.links:
+                node = node.links[0][1]
                 continue
-            links = cmset.links_from(cm.id, node.id)
-            if not links:
+            else:
                 break
-            cm = cmset.caremap(links[0].to_caremap)
-            node = cm.node(links[0].to_entry_node)
+        elif kind is NodeKind.EXCLUSION_POINT:
+            break
+
+        # pick the successor of node
+        if len(node.succ) == 1:
+            node = node.succ[0][1]
             continue
+        m = models[node]
+        if m.edges is not None:
+            edge, branch = rng.choices(m.edges, cum_weights=m.cum)[0]
+            if branch is not None:  # a decision's branch event
+                out.append(branch if as_json else BranchTaken(node.id, edge))
+        elif m.sampler is not None:
+            _observe(m.sampler, rng, at, bound, out, as_json)
+            selection = C.select_branch(node.branches, bound)
+            assert isinstance(selection, C.Chosen), "compile guarantees decidability"
+            edge = selection.edge_id
+        else:
+            raise MissingAnnotation(f"{node.cm.id}.{node.id}")
+        node = node.by_edge[edge][0][1]
+    return out
 
-        # exclusion point
-        break
 
-    return PatientTrace(f"t{index:06d}", tuple(events))
+def generate_one(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_CAP) -> PatientTrace:
+    """Generate trace `index` as a pure function of (seed, index)."""
+    return PatientTrace(f"t{index:06d}", tuple(_walk(stm, seed, index, step_cap, False)))
 
 
-def _choose_next(stm, cm, node_id, rng, bindings, events, at):
-    """Pick the successor of node_id; returns (next node, bindings after any sample)."""
-    succ = successors(cm, node_id)
-    if len(succ) == 1:
-        return succ[0][1], bindings
-    mode = stm.model.mode_for(cm.id, node_id)
-    node = cm.node(node_id)
-    if isinstance(mode, EdgeProbabilities):
-        edge_ids = [e for e, _ in mode.probs]
-        weights = [p for _, p in mode.probs]
-        chosen = rng.choices(edge_ids, weights=weights, k=1)[0]
-        if node.kind in DECISION_KINDS:
-            events.append(BranchTaken(node_id, chosen))
-        return next(n for e, n in succ if e.id == chosen), bindings
-    if isinstance(mode, VariableSampler):
-        value = _sample(mode.dist, rng)
-        events.append(Observation(mode.var, value, mode.unit, at))
-        bindings = C.bind(bindings, mode.var, value, mode.unit)
-        branches = [(e.id, e.criterion) for e, _ in succ]
-        selection = C.select_branch(branches, bindings)
-        assert isinstance(selection, C.Chosen), "compile guarantees decidability"
-        return next(n for e, n in succ if e.id == selection.edge_id), bindings
-    raise MissingAnnotation(f"{cm.id}.{node_id}")
+def generate_line(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_CAP) -> str:
+    """trace_to_json(generate_one(stm, seed, index, step_cap)), written without the dataclasses."""
+    events = ", ".join(_walk(stm, seed, index, step_cap, True))
+    return f'{{"events": [{events}], "trace_id": "t{index:06d}"}}'
 
 
 def generate(stm: STM, n: int, seed: int, step_cap: int = DEFAULT_STEP_CAP) -> Iterator[PatientTrace]:

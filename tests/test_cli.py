@@ -552,3 +552,68 @@ def test_console_script_installed():
     assert exe is not None
     proc = subprocess.run([exe, "validate", GDM], capture_output=True)
     assert proc.returncode == 0
+
+
+_STEP_CAP_MODEL = json.dumps({"tasc_model": 1, "nodes": {
+    "loop.again": {"mode": "sampler", "var": "repeat",
+                   "dist": {"kind": "categorical", "values": ["yes", "no"], "probs": [0.9995, 0.0005]}},
+}})
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("synth", ["--workers", "1"]), ("synth", ["--workers", "2"]), ("synth-check", [])],
+    ids=["synth-workers-1", "synth-workers-2", "synth-check"],
+)
+def test_step_cap_exit_three(command, extra, tmp_path, capsys):
+    # a p=0.9995 self-loop: traces 15 and 18 run past the generation step cap, both in
+    # the second chunk when --workers 2
+    caremaps, model, out = tmp_path / "loop.tasc", tmp_path / "loop.json", tmp_path / "t.jsonl"
+    caremaps.write_text(_LOOP_MAP, encoding="utf-8")
+    model.write_text(_STEP_CAP_MODEL, encoding="utf-8")
+    if command == "synth":
+        extra = [*extra, "--out", str(out)]
+    assert run(command, str(caremaps), "--model", str(model), "--entry", "loop",
+               "-n", "20", "--seed", "0", *extra) == EXIT_IO
+    assert capsys.readouterr() == ("", "trace 15 exceeded 10000 steps; the model likely has a "
+                                       "near-inescapable loop\n")
+    assert not out.exists()
+
+
+_DANGLING = {
+    # a link whose target node is absent from a map that exists
+    "link-target": (
+        'caremap "m" {\n  entry s; exit e;\n  activity a "A";\n  s -> a; a -> e;\n}\n'
+        'caremap "k" {\n  entry in; exit out;\n  in -> out;\n}\n'
+        "link m.e -> k.nowhere;\n",
+        "link target names absent node k.nowhere",
+    ),
+    # a nested activity whose map is absent
+    "nested-ref": (
+        'caremap "m" {\n  entry s; exit e;\n  nested activity a "A" ref ghost;\n  s -> a; a -> e;\n}\n',
+        "node 'a' references absent caremap 'ghost'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DANGLING))
+def test_dangling_reference_exit_three(case, tmp_path, capsys):
+    text, message = _DANGLING[case]
+    caremaps, model, traces = tmp_path / "m.tasc", tmp_path / "m.json", tmp_path / "t.jsonl"
+    caremaps.write_text(text, encoding="utf-8")
+    model.write_text(json.dumps({"tasc_model": 1}), encoding="utf-8")
+    # each trace reaches the dangling reference
+    traces.write_text("".join(
+        json.dumps({"trace_id": f"t{i}", "events": [{"type": "activity", "ref": "a"}]}) + "\n"
+        for i in range(4)), encoding="utf-8")
+    common = (str(caremaps), "--entry", "m")
+    for argv in (
+        ("conform", *common, "--traces", str(traces), "--workers", "1"),
+        ("conform", *common, "--traces", str(traces), "--workers", "2"),
+        ("synth-check", *common, "--model", str(model), "--traces", str(traces)),
+        ("synth-check", *common, "--model", str(model), "-n", "4"),
+        ("synth", *common, "--model", str(model), "-n", "4", "--seed", "0",
+         "--out", str(tmp_path / "o.jsonl")),
+    ):
+        assert run(*argv) == EXIT_IO
+        assert capsys.readouterr() == ("", f"{caremaps}: {message}\n")

@@ -235,3 +235,43 @@ def test_provenance_header_fields():
     assert header.startswith("# tasc-synth v1 seed=7 ")
     assert "caremap_sha=" in header and "model_sha=" in header
     assert header.endswith("rng=sha256-mt19937")
+
+
+def test_generation_selects_branches_through_criteria_module(monkeypatch):
+    # the traced benchmark run counts generation's branch selections by wrapping the
+    # module attribute; the selection sees every observation of the variable so far
+    from tasc import criteria
+
+    model = TransitionModel(
+        (("m.d", VariableSampler("x", Categorical((1.0, -1.0), (0.7, 0.3)))),),
+        (("m.a", (Emitter("x", NormalDist(5.0, 1.0)),)),),
+    )
+    stm = compile_stm(dsl.parse_or_raise(LOOP), "m", model)
+    seen = []
+    real = criteria.select_branch
+    monkeypatch.setattr(
+        criteria, "select_branch",
+        lambda branches, bindings: seen.append(bindings["x"].series()) or real(branches, bindings),
+    )
+    trace = generate_one(stm, seed=2, index=0)
+    values = [e.value for e in trace.events if getattr(e, "var", None) == "x"]
+    assert len(seen) == sum(isinstance(e, ActivityDone) for e in trace.events) > 1
+    # each decision follows one emitted and one sampled x
+    assert seen == [tuple(values[: 2 * k]) for k in range(1, len(seen) + 1)]
+
+
+def test_sampled_value_without_unit_keeps_the_emitted_unit():
+    # the binding's unit is the last one observed, so the criterion's mmol/L meets mg/dL
+    from tasc.criteria import UnitMismatch
+
+    cmset = dsl.parse_or_raise(
+        'caremap "m" { entry s; exit e1; exit e2; decision d "High?"; activity a "A"; '
+        "s -> a; a -> d; d -> e1 when glucose > 7.0 mmol/L; d -> e2 otherwise; }"
+    )
+    model = TransitionModel(
+        (("m.d", VariableSampler("glucose", Categorical((9.0, 5.0), (0.5, 0.5)))),),
+        (("m.a", (Emitter("glucose", NormalDist(6.0, 1.0), "mg/dL"),)),),
+    )
+    stm = compile_stm(cmset, "m", model)
+    with pytest.raises(UnitMismatch, match="binding has 'mg/dL'"):
+        generate_one(stm, seed=0, index=0)
