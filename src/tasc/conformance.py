@@ -17,6 +17,7 @@ from tasc.model import (
     CaremapSet,
     Node,
     NodeKind,
+    reachable,
     successors,
 )
 
@@ -527,14 +528,7 @@ class _Replayer:
             return "UnexpectedActivity"
         # skipped if the referenced node lies further along the flow
         if node.reach is None:
-            seen: set[str] = set()
-            todo = [node]
-            while todo:
-                cur = todo.pop()
-                if cur.id not in seen:
-                    seen.add(cur.id)
-                    todo.extend(t for _, t in cur.succ)
-            node.reach = seen
+            node.reach = {n.id for n in reachable([node], lambda cur: (t for _, t in cur.succ))}
         return "SkippedActivity" if target in node.reach and target != node.id else "UnexpectedActivity"
 
 

@@ -305,12 +305,6 @@ def format_number(x: Literal) -> str:
     return repr(f)
 
 
-def _literal_text(x: Literal) -> str:
-    if isinstance(x, str):
-        return x
-    return format_number(x)
-
-
 def criterion_text(criterion: Criterion, _parent: int = 0) -> str:
     """Canonical surface form; parenthesized only where precedence requires."""
     # precedence levels: or=1, and=2, not=3, atom=4
@@ -327,7 +321,7 @@ def criterion_text(criterion: Criterion, _parent: int = 0) -> str:
             text += f" {criterion.unit}"
         return text
     if isinstance(criterion, Predicate):
-        return f"{criterion.name}({', '.join(_literal_text(a) for a in criterion.args)})"
+        return f"{criterion.name}({', '.join(format_number(a) for a in criterion.args)})"
     if isinstance(criterion, Not):
         return f"not {criterion_text(criterion.child, 3)}"
     if isinstance(criterion, (And, Or)):

@@ -13,6 +13,7 @@ from typing import Optional
 
 from tasc import criteria as C
 from tasc.model import (
+    DECISION_KINDS,
     ActivityClass,
     Caremap,
     CaremapSet,
@@ -27,12 +28,11 @@ from tasc.model import (
 )
 
 MAX_DIAGNOSTICS = 25
+# each 'not' and each '(' in a criterion opens one level
+MAX_CRITERION_DEPTH = 100
 
 ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
-_DATE_TOKEN_RE = re.compile(r"\d{4}-\d{2}-\d{2}(?![\d.])")
-# a decimal point that begins a '..' range operator is not part of the number
-_NUMBER_TOKEN_RE = re.compile(r"-?\d+(\.\d+)?")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,28 @@ class ParseFailure(ValueError):
 
 # --- lexer ------------------------------------------------------------------
 
-_SYMBOLS = ("->", "..", "<=", ">=", "==", "!=", "{", "}", "[", "]", "(", ")",
-            ";", ":", ",", ".", "<", ">")
+# One alternative per token class, tried in this order at each position. \d is
+# decimal digits only, so other numeric characters such as '²' are not numbers;
+# they are \w, so a word may start with one, and _tokenize rejects a word that
+# does not start with a letter, '_' or '%'. A decimal point that begins a '..'
+# range operator is not part of the number. Words cover identifiers and unit
+# strings like mmol/L or kg/m2, and stop before '->'. A string ends on its line,
+# even where the newline is escaped.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<blank>[ \t\r]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<newline>\n)
+    | "(?P<string>(?:[^"\\\n]|\\.)*)"
+    | (?P<date>\d{4}-\d{2}-\d{2}(?![\d.]))
+    | (?P<number>-?\d+(?:\.\d+)?)
+    | (?P<word>\w(?:[\w%/]|-(?!>))*|%)
+    | (?P<symbol>->|\.\.|[<>=!]=|[{}\[\]();:,.<>])
+    | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 @dataclass(frozen=True)
@@ -99,89 +119,33 @@ class _LexError(ValueError):
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0
+    last = None
+    for last in _TOKEN_RE.finditer(text):
+        kind = last.lastgroup
+        if kind == "blank" or kind == "comment":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = last.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        start = last.start()
+        col = start - line_start + 1
+        if kind == "string":
+            body = last.group("string")
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(r"\1", body)
+            tokens.append(Token("string", body, line, col))
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n:
-                    i += 1
-                    col += 1
-                if text[i] == "\n":  # escaped or not, a string ends on its line
-                    raise _LexError("unterminated string", start_line, start_col)
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise _LexError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            tokens.append(Token("string", "".join(buf), start_line, start_col))
-            continue
-        m = _DATE_TOKEN_RE.match(text, i)
-        if m:
-            tokens.append(Token("date", m.group(0), line, col))
-            i += len(m.group(0))
-            col += len(m.group(0))
-            continue
-        # \d is decimal digits only: other isdigit() characters such as '²' are
-        # not numbers and fall through to "unexpected character"
-        m = _NUMBER_TOKEN_RE.match(text, i)
-        if m:
-            tokens.append(Token("number", m.group(0), line, col))
-            i += len(m.group(0))
-            col += len(m.group(0))
-            continue
-        if c.isalpha() or c == "_":
-            start_col = col
-            buf = [c]
-            i += 1
-            col += 1
-            # words cover identifiers and unit strings like mmol/L or kg/m2
-            while i < n:
-                ch = text[i]
-                if ch == "-" and i + 1 < n and text[i + 1] == ">":
-                    break
-                if ch.isalnum() or ch in "_%/-":
-                    buf.append(ch)
-                    i += 1
-                    col += 1
-                else:
-                    break
-            tokens.append(Token("word", "".join(buf), line, start_col))
-            continue
-        if c == "%":
-            tokens.append(Token("word", "%", line, col))
-            i += 1
-            col += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("symbol", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise _LexError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        c = text[start]
+        if kind == "bad" or (kind == "word" and not (c.isalpha() or c in "_%")):
+            # a '"' is bad only where no closing quote follows on its line
+            message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
+            raise _LexError(message, line, col)
+        tokens.append(Token(kind, last.group(), line, col))
+    # a comment does not advance the column, so an end of input right after one sits at its '#'
+    end = last.start() if last is not None and last.lastgroup == "comment" else len(text)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -224,6 +188,7 @@ class Parser:
         self.filename = filename
         self.diagnostics: list[ParseDiagnostic] = []
         self.pos = 0
+        self._depth = 0  # criterion levels open at the cursor
         try:
             self.tokens = _tokenize(text)
         except _LexError as e:
@@ -563,7 +528,8 @@ class Parser:
         criterion: Optional[C.Criterion] = None
         if self._at_word("when"):
             self._next()
-            criterion = self._parse_criterion()
+            self._depth = 0  # a syntax error inside the last criterion left its levels open
+            criterion = self._parse_or()
         elif self._at_word("otherwise"):
             self._next()
             criterion = C.OTHERWISE
@@ -575,10 +541,6 @@ class Parser:
         raw_edges.append(_RawEdge(from_tok.text, to_tok.text, criterion, annotation, from_tok))
 
     # criterion grammar: or > and > not > atom
-    def _parse_criterion(self) -> C.Criterion:
-        expr = self._parse_or()
-        return expr
-
     def _parse_or(self) -> C.Criterion:
         parts = [self._parse_and()]
         while self._at_word("or"):
@@ -593,18 +555,29 @@ class Parser:
             parts.append(self._parse_not())
         return parts[0] if len(parts) == 1 else C.And(tuple(parts))
 
+    def _open_level(self) -> None:
+        """Consume the 'not' or '(' at the cursor, which opens a criterion level."""
+        self._depth += 1
+        if self._depth > MAX_CRITERION_DEPTH:
+            self._error("E-SYNTAX", "criterion nested too deeply", self._peek())
+            raise _Resync()
+        self._next()
+
     def _parse_not(self) -> C.Criterion:
         if self._at_word("not"):
-            self._next()
-            return C.Not(self._parse_not())
+            self._open_level()
+            inner = C.Not(self._parse_not())
+            self._depth -= 1
+            return inner
         return self._parse_atom()
 
     def _parse_atom(self) -> C.Criterion:
         t = self._peek()
         if self._at_symbol("("):
-            self._next()
+            self._open_level()
             inner = self._parse_or()
             self._expect_symbol(")")
+            self._depth -= 1
             return inner
         if self._at_word("otherwise"):
             self._error("E-SYNTAX", "'otherwise' cannot be nested inside a criterion", t)
@@ -717,8 +690,6 @@ class Parser:
         return tuple(edges)
 
     def _check_decision_units(self, cm_id: str, nodes: list[Node], edges: tuple[Edge, ...]) -> None:
-        from tasc.model import DECISION_KINDS
-
         decision_ids = {n.id for n in nodes if n.kind in DECISION_KINDS}
         units_by_decision: dict[str, dict[str, str]] = {}
         for e in edges:

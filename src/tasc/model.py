@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from tasc.criteria import Criterion, criterion_text
 
@@ -336,33 +336,48 @@ def resolve_refs(cmset: CaremapSet) -> list[RefError]:
                     )
                 )
 
-    # DFS cycle detection over the nesting relation.
+    # DFS cycle detection over the nesting relation, on an explicit stack so
+    # that a long nesting chain cannot exhaust the interpreter's recursion limit.
     WHITE, GREY, BLACK = 0, 1, 2
     color = {cid: WHITE for cid in nesting}
-
-    def visit(cid: str, stack: list[str]) -> None:
-        color[cid] = GREY
-        stack.append(cid)
-        for child in sorted(nesting[cid]):
-            if color[child] == GREY:
-                cycle = stack[stack.index(child):] + [child]
+    for root in sorted(nesting):
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        path = [root]  # the grey maps, outermost first
+        children = [iter(sorted(nesting[root]))]  # children left to visit, per map on path
+        while path:
+            child = next(children[-1], None)
+            if child is None:
+                color[path.pop()] = BLACK
+                children.pop()
+            elif color[child] == GREY:
+                cycle = path[path.index(child):] + [child]
                 errors.append(
                     RefError(
                         "NestingCycle",
-                        cid,
+                        path[-1],
                         child,
                         "nesting cycle: " + " -> ".join(cycle),
                     )
                 )
             elif color[child] == WHITE:
-                visit(child, stack)
-        stack.pop()
-        color[cid] = BLACK
-
-    for cid in sorted(nesting):
-        if color[cid] == WHITE:
-            visit(cid, [])
+                color[child] = GREY
+                path.append(child)
+                children.append(iter(sorted(nesting[child])))
     return errors
+
+
+def reachable(starts: Iterable, neighbours: Callable[[object], Iterable]) -> set:
+    """Everything reachable from starts, starts included, by following neighbours."""
+    seen = set(starts)
+    todo = list(seen)
+    while todo:
+        for nxt in neighbours(todo.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
 
 
 def successors(caremap: Caremap, node_id: str) -> list[tuple[Edge, Node]]:
@@ -392,24 +407,26 @@ def enumerate_paths(
         )
     max_visits = cycle_bound + 1
     paths: list[list[str]] = []
-    visits: dict[str, int] = {}
-    walk: list[str] = []
-
-    def dfs(node: Node) -> None:
-        visits[node.id] = visits.get(node.id, 0) + 1
-        walk.append(node.id)
-        try:
-            if node.kind in TERMINAL_KINDS:
-                if len(paths) >= path_cap:
-                    raise PathExplosion(path_cap)
-                paths.append(list(walk))
-                return
-            for _, nxt in successors(caremap, node.id):
-                if visits.get(nxt.id, 0) < max_visits:
-                    dfs(nxt)
-        finally:
-            walk.pop()
-            visits[node.id] -= 1
-
-    dfs(entries[0])
+    walk = [entries[0].id]
+    visits = {entries[0].id: 1}
+    # the out-edges left to try from each node on the walk; an explicit stack,
+    # so a long chain cannot exhaust the interpreter's recursion limit
+    todo = [iter(successors(caremap, entries[0].id))]
+    while todo:
+        step = next(todo[-1], None)
+        if step is None:
+            todo.pop()
+            visits[walk.pop()] -= 1
+            continue
+        nxt = step[1]
+        if visits.get(nxt.id, 0) >= max_visits:
+            continue
+        if nxt.kind in TERMINAL_KINDS:
+            if len(paths) >= path_cap:
+                raise PathExplosion(path_cap)
+            paths.append(walk + [nxt.id])
+        else:
+            walk.append(nxt.id)
+            visits[nxt.id] = visits.get(nxt.id, 0) + 1
+            todo.append(iter(successors(caremap, nxt.id)))
     return paths

@@ -25,8 +25,10 @@ from tasc.model import (
     Caremap,
     CaremapSet,
     DECISION_KINDS,
+    Edge,
     NodeKind,
     TERMINAL_KINDS,
+    reachable,
     successors,
 )
 
@@ -260,16 +262,6 @@ def _check_sampler_decidable(cm: Caremap, node_id: str, mode: VariableSampler, s
             )
 
 
-def _positive_out_edges(cm: Caremap, node_id: str, model: TransitionModel) -> list[str]:
-    """Target node ids reachable with positive probability from node_id."""
-    succ = successors(cm, node_id)
-    mode = model.mode_for(cm.id, node_id)
-    if isinstance(mode, EdgeProbabilities):
-        positive = {e for e, p in mode.probs if p > 0}
-        return [n.id for e, n in succ if e.id in positive]
-    return [n.id for _, n in succ]
-
-
 def compile_stm(cmset: CaremapSet, entry_caremap: str, model: TransitionModel) -> STM:
     """Check coverage, probability mass, and escapability; freeze provenance."""
     from tasc.validator import has_errors, validate
@@ -323,33 +315,29 @@ def compile_stm(cmset: CaremapSet, entry_caremap: str, model: TransitionModel) -
 
 
 def _reachable_caremaps(cmset: CaremapSet, entry: str) -> set[str]:
-    seen: set[str] = set()
-    stack = [entry]
-    while stack:
-        cur = stack.pop()
-        if cur in seen or not cmset.has_caremap(cur):
-            continue
-        seen.add(cur)
-        cm = cmset.caremap(cur)
-        for n in cm.nodes:
+    # validate has already rejected nested refs and links to absent caremaps
+    def called(cm_id: str):
+        for n in cmset.caremap(cm_id).nodes:
             if n.nested_ref:
-                stack.append(n.nested_ref)
-            stack.extend(link.to_caremap for link in cmset.links_from(cur, n.id))
-    return seen
+                yield n.nested_ref
+            yield from (link.to_caremap for link in cmset.links_from(cm_id, n.id))
+
+    return reachable([entry], called)
 
 
 def _check_escapable(cm: Caremap, model: TransitionModel) -> None:
     """Every node must reach a terminal through positive-probability edges."""
-    escapes: set[str] = {n.id for n in cm.nodes if n.kind in TERMINAL_KINDS}
-    changed = True
-    while changed:
-        changed = False
-        for n in cm.nodes:
-            if n.id in escapes:
-                continue
-            if any(t in escapes for t in _positive_out_edges(cm, n.id, model)):
-                escapes.add(n.id)
-                changed = True
+
+    def positive(e: Edge) -> bool:
+        mode = model.mode_for(cm.id, e.from_id)
+        return not isinstance(mode, EdgeProbabilities) or any(
+            edge == e.id and p > 0 for edge, p in mode.probs
+        )
+
+    escapes = reachable(
+        (n.id for n in cm.nodes if n.kind in TERMINAL_KINDS),
+        lambda cur: (e.from_id for e in cm.in_edges(cur) if positive(e)),
+    )
     trapped = sorted(n.id for n in cm.nodes if n.id not in escapes)
     if trapped:
         raise InescapableCycle(cm.id, trapped)

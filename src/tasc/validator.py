@@ -13,7 +13,6 @@ Warning codes (advisory; promoted to errors in strict mode):
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from tasc.criteria import Otherwise
@@ -24,6 +23,7 @@ from tasc.model import (
     DECISION_KINDS,
     NodeKind,
     TERMINAL_KINDS,
+    reachable,
     resolve_refs,
     successors,
 )
@@ -102,16 +102,10 @@ def _structural(cm: Caremap) -> list[Diagnostic]:
 
     # S3/S4 reachability (needs an entry to anchor from)
     if entries:
-        reachable: set[str] = set()
-        queue = deque(n.id for n in entries)
-        while queue:
-            cur = queue.popleft()
-            if cur in reachable:
-                continue
-            reachable.add(cur)
-            for _, nxt in successors(cm, cur):
-                queue.append(nxt.id)
-        unreachable = sorted(n.id for n in cm.nodes if n.id not in reachable)
+        forward = reachable(
+            (n.id for n in entries), lambda cur: (n.id for _, n in successors(cm, cur))
+        )
+        unreachable = sorted(n.id for n in cm.nodes if n.id not in forward)
         if unreachable:
             out.append(
                 Diagnostic(
@@ -120,16 +114,11 @@ def _structural(cm: Caremap) -> list[Diagnostic]:
                 )
             )
         # reverse reachability from terminals
-        reaches_terminal: set[str] = set()
-        queue = deque(n.id for n in cm.nodes if n.kind in TERMINAL_KINDS)
-        while queue:
-            cur = queue.popleft()
-            if cur in reaches_terminal:
-                continue
-            reaches_terminal.add(cur)
-            for e in cm.in_edges(cur):
-                queue.append(e.from_id)
-        dead = sorted(nid for nid in reachable if nid not in reaches_terminal)
+        reaches_terminal = reachable(
+            (n.id for n in cm.nodes if n.kind in TERMINAL_KINDS),
+            lambda cur: (e.from_id for e in cm.in_edges(cur)),
+        )
+        dead = sorted(nid for nid in forward if nid not in reaches_terminal)
         if dead:
             out.append(
                 Diagnostic(
@@ -243,18 +232,14 @@ def content_lint(cm: Caremap) -> list[Diagnostic]:
     if len(entries) != 1:
         return out
     later_typed = {ContentType.TREATMENT, ContentType.MONITORING}
-    # nodes reachable without passing through a treatment/monitoring activity
-    clean: set[str] = set()
-    queue = deque([entries[0].id])
-    while queue:
-        cur = queue.popleft()
-        if cur in clean:
-            continue
-        clean.add(cur)
+
+    def onward(cur: str):
         if cm.node(cur).content_type in later_typed:
-            continue  # do not traverse beyond a later-phase activity
-        for _, nxt in successors(cm, cur):
-            queue.append(nxt.id)
+            return ()  # do not traverse beyond a later-phase activity
+        return (n.id for _, n in successors(cm, cur))
+
+    # nodes reachable without passing through a treatment/monitoring activity
+    clean = reachable([entries[0].id], onward)
     flagged = sorted(
         n.id
         for n in cm.nodes

@@ -112,6 +112,22 @@ def test_paths_unknown_caremap():
     assert run("paths", LABOUR, "--caremap", "ghost") == 2
 
 
+def test_paths_long_chain(tmp_path, capsys):
+    # one walk longer than the interpreter's default recursion limit
+    n = 1500
+    chain = tmp_path / "chain.tasc"
+    chain.write_text(
+        'caremap "m" {\n  entry s; exit e;\n'
+        + "".join(f'  activity a{i} "A{i}";\n' for i in range(n))
+        + "  s -> a0;\n" + "".join(f"  a{i} -> a{i + 1};\n" for i in range(n - 1))
+        + f"  a{n - 1} -> e;\n}}\n",
+        encoding="utf-8",
+    )
+    assert run("paths", str(chain), "--caremap", "m") == EXIT_OK
+    walk = ["s", *(f"a{i}" for i in range(n)), "e"]
+    assert capsys.readouterr() == (" -> ".join(walk) + "\n", "")
+
+
 @pytest.fixture(scope="module")
 def model_path(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "model.json"
@@ -594,6 +610,25 @@ _DANGLING = {
         "node 'a' references absent caremap 'ghost'",
     ),
 }
+
+
+def test_deep_nesting_chain_round_trip(tmp_path, capsys):
+    # each map nests the next, deeper than the interpreter's default recursion limit
+    n = 1200
+    caremaps, model, traces = tmp_path / "nest.tasc", tmp_path / "m.json", tmp_path / "t.jsonl"
+    caremaps.write_text("".join(
+        f'caremap "c{i}" {{ entry s; exit e; nested activity n "N{i}" ref c{i + 1}; s -> n; n -> e; }}\n'
+        for i in range(n - 1)
+    ) + f'caremap "c{n - 1}" {{ entry s; exit e; activity a "A"; s -> a; a -> e; }}\n', encoding="utf-8")
+    model.write_text(json.dumps({"tasc_model": 1}), encoding="utf-8")
+    assert run("validate", str(caremaps)) == EXIT_OK
+    capsys.readouterr()
+    assert run("synth", str(caremaps), "--model", str(model), "--entry", "c0", "-n", "3",
+               "--seed", "0", "--out", str(traces)) == EXIT_OK
+    assert run("conform", str(caremaps), "--traces", str(traces), "--entry", "c0",
+               "--format", "json") == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["conformant"], doc["non_conformant"]) == (3, 0)
 
 
 @pytest.mark.parametrize("case", sorted(_DANGLING))

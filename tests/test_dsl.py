@@ -201,6 +201,41 @@ def test_non_decimal_digit_is_syntax_error(value, char):
     assert (d.span.line, d.span.column) == (2, 11)
 
 
+def _decision_on(criterion: str) -> str:
+    return (
+        'caremap "m" { entry s; exit e; exit f; decision d "D?"; s -> d; '
+        f"d -> e when {criterion}; d -> f otherwise; }}"
+    )
+
+
+@pytest.mark.parametrize("shape", ["not", "paren"])
+def test_criterion_nested_too_deeply(shape):
+    depth = 1200
+    criterion = "not " * depth + "x > 1" if shape == "not" else "(" * depth + "x > 1" + ")" * depth
+    text = _decision_on(criterion)
+    result = parse(text)
+    assert result.set is None
+    [d] = result.diagnostics
+    assert (d.code, d.message) == ("E-SYNTAX", "criterion nested too deeply")
+    # reported at the token that opens level MAX_CRITERION_DEPTH + 1
+    width = len("not ") if shape == "not" else len("(")
+    assert d.span.column == text.index("when ") + len("when ") + dsl.MAX_CRITERION_DEPTH * width + 1
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [
+        "not " * dsl.MAX_CRITERION_DEPTH + "x > 1",
+        "(" * dsl.MAX_CRITERION_DEPTH + "x > 1" + ")" * dsl.MAX_CRITERION_DEPTH,
+        "not (" * (dsl.MAX_CRITERION_DEPTH // 2) + "x > 1" + ")" * (dsl.MAX_CRITERION_DEPTH // 2),
+    ],
+    ids=["not", "paren", "mixed"],
+)
+def test_criterion_at_depth_cap_round_trips(criterion):
+    canonical = serialize(parse_or_raise(_decision_on(criterion)))
+    assert serialize(parse_or_raise(canonical)) == canonical
+
+
 @pytest.mark.parametrize("newline", ["\n", "\\\n"], ids=["raw", "escaped"])
 def test_newline_in_string_is_unterminated(newline):
     # the error on line 5 must not be reported, one line early, as line 4

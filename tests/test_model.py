@@ -48,6 +48,19 @@ def test_resolve_refs_nesting_cycle():
     assert "NestingCycle" in codes
 
 
+def test_resolve_refs_cycle_closing_a_long_chain():
+    # deeper than the interpreter's default recursion limit
+    n = 1200
+    cmset = _set("\n".join(
+        f'caremap "c{i:04d}" {{ entry s; exit e; nested activity n "N" ref c{(i + 1) % n:04d}; '
+        "s -> n; n -> e; }"
+        for i in range(n)
+    ))
+    [err] = resolve_refs(cmset)
+    assert (err.code, err.caremap, err.subject) == ("NestingCycle", "c1199", "c0000")
+    assert err.message == "nesting cycle: " + " -> ".join(f"c{i % n:04d}" for i in range(n + 1))
+
+
 def test_successors_terminal_empty():
     cm = _set(MINIMAL).caremap("m")
     assert successors(cm, "e") == []
