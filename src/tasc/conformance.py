@@ -7,7 +7,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from tasc import criteria as C
 from tasc.model import (
@@ -123,23 +124,36 @@ def trace_to_json(trace: PatientTrace) -> str:
     )
 
 
-def event_from_dict(d: dict) -> TraceEvent:
+# One decoder checks records and events and gives compact events: tuples
+# tagged with the JSON type, in the field order of the event classes:
+#   ("activity", ref, at)   ("obs", var, value, unit, at)   ("branch", decision, edge)
+# A decoded record is (trace_id, events). The batch path (conform_text)
+# label-checks and replays these as they are; load_traces, trace_from_json
+# and event_from_dict wrap them in the dataclasses.
+
+CompactEvent = tuple
+Record = tuple[str, tuple[CompactEvent, ...]]
+
+_EVENT_CLASSES = {"activity": ActivityDone, "obs": Observation, "branch": BranchTaken}
+
+
+def _decode_event(d) -> CompactEvent:
     if not isinstance(d, dict):
         raise TraceFormatError(f"event must be an object, got {type(d).__name__}")
     kind = d.get("type")
     try:
         if kind == "activity":
-            return ActivityDone(str(d["ref"]), d.get("at"))
+            return ("activity", str(d["ref"]), d.get("at"))
         if kind == "obs":
-            return Observation(str(d["var"]), d["value"], d.get("unit"), d.get("at"))
+            return ("obs", str(d["var"]), d["value"], d.get("unit"), d.get("at"))
         if kind == "branch":
-            return BranchTaken(str(d["decision"]), str(d["edge"]))
+            return ("branch", str(d["decision"]), str(d["edge"]))
     except KeyError as e:
         raise TraceFormatError(f"{kind} event has no {e.args[0]!r}") from None
     raise TraceFormatError(f"unknown event type {kind!r}")
 
 
-def trace_from_json(line: str) -> PatientTrace:
+def _decode_record(line: str) -> Record:
     try:
         d = json.loads(line)
     except (ValueError, RecursionError) as e:  # also too-deep nesting and too-long integers
@@ -149,30 +163,57 @@ def trace_from_json(line: str) -> PatientTrace:
     events = d.get("events", [])
     if not isinstance(events, list):
         raise TraceFormatError(f"events must be a list, got {type(events).__name__}")
-    return PatientTrace(str(d["trace_id"]), tuple(event_from_dict(ev) for ev in events))
+    return str(d["trace_id"]), tuple(map(_decode_event, events))
 
 
-def load_traces(text: str) -> tuple[list[PatientTrace], list[str]]:
-    """Parse JSONL; `#` lines are comments. Returns (traces, per-line errors)."""
-    return _load_lines(text.splitlines(), 1)
-
-
-def _load_lines(lines: Sequence[str], first_line: int) -> tuple[list[PatientTrace], list[str]]:
-    traces: list[PatientTrace] = []
+def _decode_lines(lines: Sequence[str], first_line: int) -> tuple[list[Record], list[str]]:
+    """Decode JSONL lines; `#` lines are comments. Returns (records, per-line errors)."""
+    records: list[Record] = []
     errors: list[str] = []
     for lineno, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            traces.append(trace_from_json(line))
+            records.append(_decode_record(line))
         except TraceFormatError as e:
             errors.append(f"line {lineno}: {e}")
-    return traces, errors
+    return records, errors
 
 
-def check_labels(cmset: CaremapSet, traces: list[PatientTrace]) -> None:
-    """Reject activity refs that resolve only by label and match several nodes."""
+def _event_of(ev: CompactEvent) -> TraceEvent:
+    return _EVENT_CLASSES[ev[0]](*ev[1:])
+
+
+def _trace_of(record: Record) -> PatientTrace:
+    trace_id, events = record
+    return PatientTrace(trace_id, tuple(map(_event_of, events)))
+
+
+def _compact(ev: TraceEvent) -> CompactEvent:
+    if isinstance(ev, ActivityDone):
+        return ("activity", ev.ref, ev.at)
+    if isinstance(ev, Observation):
+        return ("obs", ev.var, ev.value, ev.unit, ev.at)
+    return ("branch", ev.decision, ev.edge)
+
+
+def event_from_dict(d: dict) -> TraceEvent:
+    return _event_of(_decode_event(d))
+
+
+def trace_from_json(line: str) -> PatientTrace:
+    return _trace_of(_decode_record(line))
+
+
+def load_traces(text: str) -> tuple[list[PatientTrace], list[str]]:
+    """Parse JSONL; `#` lines are comments. Returns (traces, per-line errors)."""
+    records, errors = _decode_lines(text.splitlines(), 1)
+    return list(map(_trace_of, records)), errors
+
+
+def _check_refs(cmset: CaremapSet, refs: Iterable[str]) -> None:
+    """Raise AmbiguousLabel on the first activity ref that is no node id but labels several nodes."""
     node_ids: set[str] = set()
     label_owners: dict[str, list[str]] = {}
     for cm in cmset.caremaps:
@@ -180,23 +221,32 @@ def check_labels(cmset: CaremapSet, traces: list[PatientTrace]) -> None:
             node_ids.add(n.id)
             if n.kind in ACTIVITY_KINDS and n.label:
                 label_owners.setdefault(n.label, []).append(f"{cm.id}.{n.id}")
-    for trace in traces:
-        for ev in trace.events:
-            if isinstance(ev, ActivityDone) and ev.ref not in node_ids:
-                owners = label_owners.get(ev.ref, [])
-                if len(owners) > 1:
-                    raise AmbiguousLabel(ev.ref, sorted(owners))
+    for ref in refs:
+        if ref not in node_ids:
+            owners = label_owners.get(ref, [])
+            if len(owners) > 1:
+                raise AmbiguousLabel(ref, sorted(owners))
+
+
+def check_labels(cmset: CaremapSet, traces: list[PatientTrace]) -> None:
+    """Reject activity refs that resolve only by label and match several nodes."""
+    _check_refs(
+        cmset, (ev.ref for t in traces for ev in t.events if isinstance(ev, ActivityDone))
+    )
 
 
 # --- replay -----------------------------------------------------------------
 #
-# Replay is a depth-first search over states (node, event index, nested-call
-# stack). Expanding a state makes its record_failure calls and yields its
-# options, each an (edge marker or None, target node) pair; the options of one
-# expansion share an event index and a stack, so a child state is
-# (target, index, stack). The search runs on an explicit stack of frames, so
-# its depth is bounded by memory, not by the interpreter's recursion limit.
-# The first option that leads to an accepting state wins.
+# Replay reads compact events only (see the trace I/O section above) and
+# ignores their `at` fields: order alone decides. It is a depth-first search
+# over states (node, event index, nested-call stack). Expanding a state makes
+# its record_failure calls and yields its options, each an (edge marker or
+# None, target node) pair; the options of one expansion share an event index
+# and a stack, so a child state is (target, index, stack). The stack is an
+# interned _Call or None, so a state hashes and compares in O(1) at any
+# nesting depth. The search runs on an explicit stack of frames, so its depth
+# is bounded by memory, not by the interpreter's recursion limit. The first
+# option that leads to an accepting state wins.
 
 
 @dataclass
@@ -256,6 +306,7 @@ class _Plan:
         self.cmset = cmset
         self.nodes: dict[tuple[str, str], _Node] = {}
         self.first_by_ref: dict[str, dict[str, str]] = {}
+        self.starts: dict[str, _Node] = {}  # caremap id -> its entry, filled by start()
         for cm in cmset.caremaps:
             refs: dict[str, str] = {}
             for n in cm.nodes:
@@ -283,6 +334,17 @@ class _Plan:
                 for l in cmset.links_from(cm_id, node_id)
             ]
 
+    def start(self, entry_caremap: str) -> _Node:
+        """The entry node replay starts at; raises when the caremap is missing or
+        has no single entry point."""
+        node = self.starts.get(entry_caremap)
+        if node is None:
+            entries = self.cmset.caremap(entry_caremap).entry_nodes()
+            if len(entries) != 1:
+                raise ValueError(f"caremap {entry_caremap!r} must have exactly one entry point")
+            node = self.starts[entry_caremap] = self.nodes[entry_caremap, entries[0].id]
+        return node
+
     def _nested_entry(self, cm_id: str) -> Optional[_Node]:
         """The entry of a nested map, or None when replay must raise on descending."""
         if not self.cmset.has_caremap(cm_id):
@@ -297,7 +359,7 @@ _plan_cache: list = [None]
 def _plan(cmset: CaremapSet) -> _Plan:
     # One slot: a batch replays every trace against the same set. The slot
     # holds the set, so its id cannot be reused while cached, and a plan is
-    # only ever read, apart from reachable sets derived from the set itself.
+    # only ever read, apart from entries and reachable sets derived from the set itself.
     plan = _plan_cache[0]
     if plan is None or plan.cmset is not cmset:
         plan = _plan_cache[0] = _Plan(cmset)
@@ -343,32 +405,47 @@ class _BindingsAt:
 _ACCEPT = object()
 
 
+class _Call:
+    """A nested call on the replay stack: the node to resume at, the event index
+    the call began at, and the calls below it (None at the bottom).
+
+    Calls are interned per replay, so equal stacks are one object.
+    """
+
+    __slots__ = ("node", "i", "rest")
+
+    def __init__(self, node: _Node, i: int, rest: Optional["_Call"]):
+        self.node, self.i, self.rest = node, i, rest
+
+
 class _Replayer:
-    def __init__(self, plan: _Plan, trace: PatientTrace):
+    def __init__(self, plan: _Plan, events: tuple[CompactEvent, ...]):
         self.plan = plan
-        self.events = events = trace.events
+        self.events = events
         self.n = n = len(events)
         self.best = _Failure()
         # next[i]: index of the first non-observation event at or after i
         nxt = [n] * (n + 1)
         j = n
         for k in range(n - 1, -1, -1):
-            if not isinstance(events[k], Observation):
+            if events[k][0] != "obs":
                 j = k
             nxt[k] = j
         self.next = nxt
         self._series: Optional[dict] = None  # var -> (event indices, values, units)
+        self._calls: dict = {}  # (node, i, rest) -> its _Call
 
     def bindings_at(self, j: int) -> _BindingsAt:
         """Bindings after the observations with index < j, as views."""
         if self._series is None:
             self._series = {}
             for k, ev in enumerate(self.events):
-                if isinstance(ev, Observation):
-                    at, values, units = self._series.setdefault(ev.var, ([], [], []))
+                if ev[0] == "obs":
+                    _, var, value, unit, _ = ev
+                    at, values, units = self._series.setdefault(var, ([], [], []))
                     at.append(k)
-                    values.append(ev.value)
-                    units.append(ev.unit if ev.unit is not None or not units else units[-1])
+                    values.append(value)
+                    units.append(unit if unit is not None or not units else units[-1])
         return _BindingsAt(self._series, j)
 
     def record_failure(
@@ -389,10 +466,10 @@ class _Replayer:
         state seen before has failed (the memo) or is on the current path (a
         cycle that consumed no event), and either way is a dead end.
         """
-        r = start.step(self, start, 0, ())
+        r = start.step(self, start, 0, None)
         if r is _ACCEPT:
             return (start.id,), ()
-        seen = {(start, 0, ())}
+        seen = {(start, 0, None)}
         # [node, options, event index, stack, options tried] per state on the path
         frames = [] if r is None else [[start, *r, 0]]
         while frames:
@@ -419,10 +496,10 @@ class _Replayer:
     # Each step expands a state: it returns _ACCEPT, None for a dead end, or
     # (options, event index, stack) for the child states.
 
-    def _exit(self, node: _Node, i: int, stack: tuple):
-        if stack:
-            frame, _, rest = stack
-            return frame.resume(self, frame, i, rest)
+    def _exit(self, node: _Node, i: int, stack: Optional[_Call]):
+        if stack is not None:
+            frame = stack.node
+            return frame.resume(self, frame, i, stack.rest)
         j = self.next[i]
         if j == self.n:
             return _ACCEPT
@@ -431,21 +508,21 @@ class _Replayer:
         self.record_failure(j, node.id, (), self._found_ref(j), "UnexpectedActivity")
         return None
 
-    def _exclusion(self, node: _Node, i: int, stack: tuple):
+    def _exclusion(self, node: _Node, i: int, stack: Optional[_Call]):
         j = self.next[i]
         if j == self.n:
             return _ACCEPT
         self.record_failure(j, node.id, (), self._found_ref(j), "UnexpectedActivity")
         return None
 
-    def _activity(self, node: _Node, i: int, stack: tuple):
+    def _activity(self, node: _Node, i: int, stack: Optional[_Call]):
         j = self.next[i]
         if j >= self.n:
             self.record_failure(j, node.id, (node.id,), None, "IncompleteTrace")
             return None
         ev = self.events[j]
-        if not (isinstance(ev, ActivityDone) and (
-            ev.ref == node.id or (node.label != "" and ev.ref == node.label)
+        if not (ev[0] == "activity" and (
+            ev[1] == node.id or (node.label != "" and ev[1] == node.label)
         )):
             found = self._found_ref(j)
             self.record_failure(j, node.id, (node.id,), found, self._classify_mismatch(node, found))
@@ -454,7 +531,7 @@ class _Replayer:
             return self._descend(node, j + 1, stack)
         return self._follow(node, j + 1, stack)
 
-    def _descend(self, node: _Node, i: int, stack: tuple):
+    def _descend(self, node: _Node, i: int, stack: Optional[_Call]):
         # nested maps run as calls: the stack holds the node to resume at and
         # the event index the call began at
         if node.child is None:  # the nested map is missing or has no single entry
@@ -467,14 +544,18 @@ class _Replayer:
         # in for the outer's, so a matching walk needs at most n - i + 2 of
         # them. Cutting there ends a nesting cycle that consumes no event.
         copies, rest = 0, stack
-        while rest and rest[1] == i:  # the calls begun at i are on top
-            copies += rest[0] is node
-            rest = rest[2]
+        while rest is not None and rest.i == i:  # the calls begun at i are on top
+            copies += rest.node is node
+            rest = rest.rest
         if copies > self.n - i + 1:
             return None
-        return node.child, i, (node, i, stack)
+        key = (node, i, stack)
+        call = self._calls.get(key)
+        if call is None:
+            call = self._calls[key] = _Call(node, i, stack)
+        return node.child, i, call
 
-    def _follow(self, node: _Node, i: int, stack: tuple):
+    def _follow(self, node: _Node, i: int, stack: Optional[_Call]):
         if not node.succ:
             j = self.next[i]
             kind = "IncompleteTrace" if j >= self.n else "UnexpectedActivity"
@@ -482,15 +563,15 @@ class _Replayer:
             return None
         return node.succ, i, stack
 
-    def _select(self, node: _Node, i: int, stack: tuple):
+    def _select(self, node: _Node, i: int, stack: Optional[_Call]):
         j = self.next[i]
         if j < self.n:
             ev = self.events[j]
-            if isinstance(ev, BranchTaken) and ev.decision == node.id:
-                taken = node.by_edge.get(ev.edge)
+            if ev[0] == "branch" and ev[1] == node.id:
+                taken = node.by_edge.get(ev[2])
                 if taken is not None:
                     return taken, j + 1, stack
-                self.record_failure(j, node.id, node.succ_ids, ev.edge, "WrongBranch")
+                self.record_failure(j, node.id, node.succ_ids, ev[2], "WrongBranch")
                 return None
         if node.branches is None:
             # free-choice fan-out (or plain chain): search all successors
@@ -514,10 +595,10 @@ class _Replayer:
         if j >= self.n:
             return None
         ev = self.events[j]
-        if isinstance(ev, ActivityDone):
-            return ev.ref
-        if isinstance(ev, BranchTaken):
-            return ev.edge
+        if ev[0] == "activity":
+            return ev[1]
+        if ev[0] == "branch":
+            return ev[2]
         return None
 
     def _classify_mismatch(self, node: _Node, found: Optional[str]) -> str:
@@ -543,34 +624,41 @@ _STEPS = {
 }
 
 
-def replay_with_edges(
-    cmset: CaremapSet, entry_caremap: str, trace: PatientTrace
+def _replay_record(
+    cmset: CaremapSet, entry_caremap: str, record: Record
 ) -> tuple[ConformanceReport, tuple[tuple[str, str], ...]]:
-    """Replay and also return the (caremap id, edge id) pairs of the witness walk."""
-    cm = cmset.caremap(entry_caremap)
-    entries = cm.entry_nodes()
-    if len(entries) != 1:
-        raise ValueError(f"caremap {entry_caremap!r} must have exactly one entry point")
+    trace_id, events = record
     plan = _plan(cmset)
-    r = _Replayer(plan, trace)
-    found = r.search(plan.nodes[cm.id, entries[0].id])
+    r = _Replayer(plan, events)
+    found = r.search(plan.start(entry_caremap))
     if found is not None:
         walk, edges = found
-        return ConformanceReport(trace.trace_id, "Conformant", matched_path=walk), edges
+        return ConformanceReport(trace_id, "Conformant", matched_path=walk), edges
     best = r.best
     if best.kind == "undetermined":
         report = ConformanceReport(
-            trace.trace_id, "Undetermined",
+            trace_id, "Undetermined",
             divergence_node=best.node, unresolved=best.unresolved,
         )
     else:
         report = ConformanceReport(
-            trace.trace_id, "NonConformant",
+            trace_id, "NonConformant",
             divergence=(max(best.index, 0), best.expected, best.found),
             divergence_node=best.node,
             variance_kind=best.kind or "UnexpectedActivity",
         )
     return report, ()
+
+
+def _record_of(trace: PatientTrace) -> Record:
+    return trace.trace_id, tuple(map(_compact, trace.events))
+
+
+def replay_with_edges(
+    cmset: CaremapSet, entry_caremap: str, trace: PatientTrace
+) -> tuple[ConformanceReport, tuple[tuple[str, str], ...]]:
+    """Replay and also return the (caremap id, edge id) pairs of the witness walk."""
+    return _replay_record(cmset, entry_caremap, _record_of(trace))
 
 
 def replay(cmset: CaremapSet, entry_caremap: str, trace: PatientTrace) -> ConformanceReport:
@@ -651,23 +739,23 @@ class _Crash(NamedTuple):
 
 
 def _replay_counts(
-    cmset: CaremapSet, entry_caremap: str, traces: list[PatientTrace], load_errors=()
+    cmset: CaremapSet, entry_caremap: str, records: list[Record], load_errors=()
 ) -> Union[_Tally, _Crash]:
     counts = {"Conformant": 0, "NonConformant": 0, "Undetermined": 0}
     divergence_counts: dict[str, int] = {}
     edge_counts: Counter = Counter()
-    for trace in traces:
+    for record in records:
         try:
-            report, edges = replay_with_edges(cmset, entry_caremap, trace)
+            report, edges = _replay_record(cmset, entry_caremap, record)
         except Exception as e:
-            return _Crash.of(_REPLAY, trace.trace_id, e)
+            return _Crash.of(_REPLAY, record[0], e)
         counts[report.status] += 1
         edge_counts.update(edges)
         if report.status != "Conformant" and report.divergence_node is not None:
             divergence_counts[report.divergence_node] = (
                 divergence_counts.get(report.divergence_node, 0) + 1
             )
-    return counts, divergence_counts, len(traces), tuple(load_errors), edge_counts
+    return counts, divergence_counts, len(records), tuple(load_errors), edge_counts
 
 
 def _summarize(
@@ -717,7 +805,7 @@ def batch_conform(
     load_errors: tuple[str, ...] = (),
     workers: int = 1,
 ) -> BatchSummary:
-    ordered = sorted(traces, key=lambda t: t.trace_id)
+    ordered = sorted(map(_record_of, traces), key=itemgetter(0))
     tallies = map_chunks(_replay_counts, ordered, workers, cmset, entry_caremap)
     return _summarize(tallies, load_errors)
 
@@ -741,13 +829,15 @@ def _conform_lines(
 ) -> Union[_Tally, _Crash]:
     phase = _LOAD
     try:
-        traces, errors = _load_lines(chunk.lines, chunk.first)
+        records, errors = _decode_lines(chunk.lines, chunk.first)
         phase = _LABELS
-        check_labels(cmset, traces)
+        _check_refs(
+            cmset, (ev[1] for _, events in records for ev in events if ev[0] == "activity")
+        )
     except Exception as e:
         return _Crash.of(phase, "", e)
-    traces.sort(key=lambda t: t.trace_id)
-    return _replay_counts(cmset, entry_caremap, traces, errors)
+    records.sort(key=itemgetter(0))
+    return _replay_counts(cmset, entry_caremap, records, errors)
 
 
 def conform_text(
@@ -756,9 +846,10 @@ def conform_text(
     """Load, label-check and replay the JSONL traces in text.
 
     The lines are split into min(workers, lines, CPU count) contiguous chunks
-    and each chunk is parsed and replayed where it runs (see map_chunks), so
-    only lines go to pool workers and only tallies come back.
+    and each chunk is decoded to compact events and replayed where it runs
+    (see map_chunks), so only lines go to pool workers and only tallies come
+    back; no event dataclass is built.
     """
     lines = _Lines(text.splitlines())
-    del text  # so the text can be freed before the traces are built (cmd_conform keeps no copy)
+    del text  # so the text can be freed before the records are decoded (cmd_conform keeps no copy)
     return _summarize(map_chunks(_conform_lines, lines, workers, cmset, entry_caremap))

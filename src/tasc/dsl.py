@@ -257,15 +257,17 @@ class Parser:
 
     def parse(self) -> ParseResult:
         caremaps: list[Caremap] = []
+        seen_ids: set[str] = set()
         links: list[MultiLevelLink] = []
         try:
             while self._peek().kind != "eof":
                 if self._at_word("caremap"):
                     cm = self._parse_caremap()
                     if cm is not None:
-                        if any(existing.id == cm.id for existing in caremaps):
+                        if cm.id in seen_ids:
                             self._error("E-DUP", f"duplicate caremap id {cm.id!r}", self._peek())
                         else:
+                            seen_ids.add(cm.id)
                             caremaps.append(cm)
                 elif self._at_word("link"):
                     link = self._parse_link()
