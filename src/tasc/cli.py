@@ -3,8 +3,9 @@
 Exit status contract: 0 success; 1 validation/conformance findings;
 2 usage error; 3 I/O or input-format error, including a caremap set whose
 links or nested refs name an absent caremap or node (conform, synth,
-synth-check) and a model under which a trace exceeds the generation step
-cap (synth, synth-check -n).
+synth-check), a model under which a trace exceeds the generation step
+cap (synth, synth-check -n), and a stdout whose reader closed before the
+output was written (a broken pipe, which prints nothing more).
 """
 from __future__ import annotations
 
@@ -217,16 +218,19 @@ def _synth_chunk(stm, seed, indices):
     return [synthesis.generate_line(stm, seed, i) for i in indices]
 
 
+def _synth_text(stm, count: int, seed: int, workers: int) -> str:
+    """The JSONL text synth writes: the provenance header, then one line per trace."""
+    lines = [synthesis.provenance_header(stm, seed)]
+    for chunk in conformance.map_chunks(_synth_chunk, range(count), workers, stm, seed):
+        lines.extend(chunk)
+    return "\n".join(lines) + "\n"
+
+
 def cmd_synth(args) -> int:
     cmset = _load_entry_set(args)
     model = synthesis.model_from_json(_read_input(args.model))
     stm = synthesis.compile_stm(cmset, args.entry, model)
-    lines = [synthesis.provenance_header(stm, args.seed)]
-    for chunk in conformance.map_chunks(
-        _synth_chunk, range(args.count), args.workers, stm, args.seed
-    ):
-        lines.extend(chunk)
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    _write_atomic(args.out, _synth_text(stm, args.count, args.seed, args.workers))
     return EXIT_OK
 
 
@@ -234,14 +238,15 @@ def cmd_synth_check(args) -> int:
     cmset = _load_entry_set(args)
     model = synthesis.model_from_json(_read_input(args.model))
     stm = synthesis.compile_stm(cmset, args.entry, model)
-    if args.traces:
-        summary = conformance.conform_text(cmset, args.entry, _read_input(args.traces))
-    elif args.count is not None:
-        traces = list(synthesis.generate(stm, args.count, args.seed))
-        summary = conformance.batch_conform(cmset, args.entry, traces)
-    else:
+    if not args.traces and args.count is None:
         print("synth-check needs --traces or -n/--seed", file=sys.stderr)
         return EXIT_USAGE
+    # -n replays exactly what synth -n --seed would write, as --traces does
+    summary = conformance.conform_text(
+        cmset,
+        args.entry,
+        _read_input(args.traces) if args.traces else _synth_text(stm, args.count, args.seed, 1),
+    )
     report = synthesis.edge_report(stm, summary)
     if args.format == "json":
         print(json.dumps(report.as_dict(), sort_keys=True, indent=2))
@@ -341,7 +346,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit writes the rest quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     except CliUsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE

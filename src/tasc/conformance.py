@@ -851,5 +851,5 @@ def conform_text(
     back; no event dataclass is built.
     """
     lines = _Lines(text.splitlines())
-    del text  # so the text can be freed before the records are decoded (cmd_conform keeps no copy)
+    del text  # so the text can be freed before the records are decoded (the CLI keeps no copy)
     return _summarize(map_chunks(_conform_lines, lines, workers, cmset, entry_caremap))

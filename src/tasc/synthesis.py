@@ -11,13 +11,11 @@ from typing import Iterator, Optional, Union
 
 from tasc import criteria as C
 from tasc.conformance import (
-    ActivityDone,
     BatchSummary,
-    BranchTaken,
-    Observation,
     PatientTrace,
     _plan,
     batch_conform,
+    trace_from_json,
 )
 from tasc.dsl import serialize
 from tasc.model import (
@@ -235,7 +233,11 @@ def _branching_nodes(cm: Caremap) -> list[str]:
     return [n.id for n in cm.nodes if len(successors(cm, n.id)) >= 2]
 
 
-def _check_sampler_decidable(cm: Caremap, node_id: str, mode: VariableSampler, state: str) -> None:
+def _check_sampler_decidable(
+    cm: Caremap, node_id: str, mode: VariableSampler, state: str
+) -> set[str]:
+    """Check that every sampled value decides one branch; return the out-edges no
+    draw takes: a categorical's edges that no value of positive probability selects."""
     node = cm.node(node_id)
     if node.kind not in DECISION_KINDS:
         raise CompileError(f"{state}: variable samplers are only allowed on decision nodes")
@@ -248,18 +250,22 @@ def _check_sampler_decidable(cm: Caremap, node_id: str, mode: VariableSampler, s
         total = sum(mode.dist.probs)
         if abs(total - 1.0) > 1e-9:
             raise ProbabilityMass(state, total)
-        for value in mode.dist.values:
+        taken = set()
+        for value, p in zip(mode.dist.values, mode.dist.probs):
             bindings = C.bind({}, mode.var, value, mode.unit)
             selection = C.select_branch(branches, bindings)
             if not isinstance(selection, C.Chosen):
                 raise CompileError(
                     f"{state}: sampled value {value!r} does not decide a unique branch"
                 )
-    else:
-        if not has_otherwise:
-            raise CompileError(
-                f"{state}: continuous sampler needs an otherwise branch to stay decidable"
-            )
+            if p > 0:
+                taken.add(selection.edge_id)
+        return {edge for edge, _ in branches} - taken
+    if not has_otherwise:
+        raise CompileError(
+            f"{state}: continuous sampler needs an otherwise branch to stay decidable"
+        )
+    return set()
 
 
 def compile_stm(cmset: CaremapSet, entry_caremap: str, model: TransitionModel) -> STM:
@@ -277,6 +283,7 @@ def compile_stm(cmset: CaremapSet, entry_caremap: str, model: TransitionModel) -
     reachable_maps = _reachable_caremaps(cmset, entry_caremap)
     for cm_id in sorted(reachable_maps):
         cm = cmset.caremap(cm_id)
+        never_sampled: set[str] = set()  # sampler decisions' out-edges no draw takes
         for node_id in _branching_nodes(cm):
             state = f"{cm.id}.{node_id}"
             mode = model.mode_for(cm.id, node_id)
@@ -295,8 +302,8 @@ def compile_stm(cmset: CaremapSet, entry_caremap: str, model: TransitionModel) -
                 if abs(total - 1.0) > 1e-9:
                     raise ProbabilityMass(state, total)
             else:
-                _check_sampler_decidable(cm, node_id, mode, state)
-        _check_escapable(cm, model)
+                never_sampled |= _check_sampler_decidable(cm, node_id, mode, state)
+        _check_escapable(cm, model, never_sampled)
         _check_links(cmset, cm)
 
     caremap_sha = hashlib.sha256(serialize(cmset).encode()).hexdigest()
@@ -325,14 +332,14 @@ def _reachable_caremaps(cmset: CaremapSet, entry: str) -> set[str]:
     return reachable([entry], called)
 
 
-def _check_escapable(cm: Caremap, model: TransitionModel) -> None:
+def _check_escapable(cm: Caremap, model: TransitionModel, never_sampled: set[str]) -> None:
     """Every node must reach a terminal through positive-probability edges."""
 
     def positive(e: Edge) -> bool:
         mode = model.mode_for(cm.id, e.from_id)
-        return not isinstance(mode, EdgeProbabilities) or any(
-            edge == e.id and p > 0 for edge, p in mode.probs
-        )
+        if isinstance(mode, EdgeProbabilities):
+            return any(edge == e.id and p > 0 for edge, p in mode.probs)
+        return e.id not in never_sampled
 
     escapes = reachable(
         (n.id for n in cm.nodes if n.kind in TERMINAL_KINDS),
@@ -357,10 +364,9 @@ def _check_links(cmset: CaremapSet, cm: Caremap) -> None:
 # Generation walks the replay plan's _Nodes (conformance._plan), so it shares
 # replay's structure: kinds, out-edges by edge id, criteria branches, nested
 # entries and links. What depends on the model lives in a per-STM table of
-# _NodeModels, built once per STM per process. The walker writes each event
-# either as its dataclass or as its JSON text, from fragments encoded when the
-# table is built, so a CLI line is joined from strings, with no event dataclass
-# or dict in between.
+# _NodeModels, built once per STM per process. The walker writes each event as
+# its JSON text, from fragments encoded when the table is built, so a line is
+# joined from strings, with no event dataclass or dict in between.
 
 
 def _trace_rng(seed: int, index: int) -> random.Random:
@@ -414,7 +420,7 @@ class _NodeModel:
     def __init__(self, node, model: TransitionModel):
         cm_id = node.cm.id
         self.emitters: tuple[_Draw, ...] = ()
-        self.done = ""  # JSON of its ActivityDone after the "at" field
+        self.done = ""  # JSON of its activity event after the "at" field
         if node.kind in ACTIVITY_KINDS:
             self.emitters = tuple(
                 _Draw(em.var, em.dist, em.unit) for em in model.emitters_for(cm_id, node.id)
@@ -445,8 +451,7 @@ class _Generator:
     def __init__(self, stm: STM):
         self.stm = stm
         plan = _plan(stm.cmset)
-        cm = stm.cmset.caremap(stm.entry_caremap)
-        self.start = plan.nodes[cm.id, cm.entry_nodes()[0].id]
+        self.start = plan.start(stm.entry_caremap)
         self.models = {node: _NodeModel(node, stm.model) for node in plan.nodes.values()}
 
 
@@ -474,14 +479,11 @@ class _Var:
         return tuple(self.values)
 
 
-def _observe(draw: _Draw, rng, at: int, bound: dict, out: list, as_json: bool) -> None:
+def _observe(draw: _Draw, rng, at: int, bound: dict, out: list) -> None:
     value, text = draw.draw(rng)
-    if as_json:
-        if text is None:
-            text = draw.head + _encode(value) + draw.tail
-        out.append(f'{{"at": {at}{text}')
-    else:
-        out.append(Observation(draw.var, value, draw.unit, at))
+    if text is None:
+        text = draw.head + _encode(value) + draw.tail
+    out.append(f'{{"at": {at}{text}')
     var = bound.get(draw.var)
     if var is None:
         bound[draw.var] = _Var(value, draw.unit)
@@ -492,8 +494,8 @@ def _observe(draw: _Draw, rng, at: int, bound: dict, out: list, as_json: bool) -
             var.unit = draw.unit
 
 
-def _walk(stm: STM, seed: int, index: int, step_cap: int, as_json: bool) -> list:
-    """The events of trace `index`, as dataclasses or (as_json) as their JSON texts."""
+def _walk(stm: STM, seed: int, index: int, step_cap: int) -> list[str]:
+    """The JSON texts of the events of trace `index`."""
     gen = _generator(stm)
     models = gen.models
     rng = _trace_rng(seed, index)
@@ -515,8 +517,8 @@ def _walk(stm: STM, seed: int, index: int, step_cap: int, as_json: bool) -> list
         if kind is NodeKind.ACTIVITY or kind is NodeKind.NESTED_ACTIVITY:
             m = models[node]
             for draw in m.emitters:
-                _observe(draw, rng, at, bound, out, as_json)
-            out.append(f'{{"at": {at}{m.done}' if as_json else ActivityDone(node.id, at))
+                _observe(draw, rng, at, bound, out)
+            out.append(f'{{"at": {at}{m.done}')
             at += 1
             if kind is NodeKind.NESTED_ACTIVITY:
                 stack.append(node)
@@ -545,9 +547,9 @@ def _walk(stm: STM, seed: int, index: int, step_cap: int, as_json: bool) -> list
         if m.edges is not None:
             edge, branch = rng.choices(m.edges, cum_weights=m.cum)[0]
             if branch is not None:  # a decision's branch event
-                out.append(branch if as_json else BranchTaken(node.id, edge))
+                out.append(branch)
         elif m.sampler is not None:
-            _observe(m.sampler, rng, at, bound, out, as_json)
+            _observe(m.sampler, rng, at, bound, out)
             selection = C.select_branch(node.branches, bound)
             assert isinstance(selection, C.Chosen), "compile guarantees decidability"
             edge = selection.edge_id
@@ -557,15 +559,15 @@ def _walk(stm: STM, seed: int, index: int, step_cap: int, as_json: bool) -> list
     return out
 
 
-def generate_one(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_CAP) -> PatientTrace:
-    """Generate trace `index` as a pure function of (seed, index)."""
-    return PatientTrace(f"t{index:06d}", tuple(_walk(stm, seed, index, step_cap, False)))
-
-
 def generate_line(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_CAP) -> str:
-    """trace_to_json(generate_one(stm, seed, index, step_cap)), written without the dataclasses."""
-    events = ", ".join(_walk(stm, seed, index, step_cap, True))
+    """Trace `index` as the JSON line synth writes, a pure function of (seed, index)."""
+    events = ", ".join(_walk(stm, seed, index, step_cap))
     return f'{{"events": [{events}], "trace_id": "t{index:06d}"}}'
+
+
+def generate_one(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_CAP) -> PatientTrace:
+    """generate_line's trace, read back by the trace decoder."""
+    return trace_from_json(generate_line(stm, seed, index, step_cap))
 
 
 def generate(stm: STM, n: int, seed: int, step_cap: int = DEFAULT_STEP_CAP) -> Iterator[PatientTrace]:

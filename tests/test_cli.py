@@ -4,6 +4,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,10 @@ from tasc import dsl
 from tasc.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from tasc.render import check_dot
 
-from conftest import CORPUS, FIXTURES
+from conftest import CORPUS, FIXTURES, ROOT
+
+sys.path.append(str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (the wide benchmark map)
 
 GDM = str(CORPUS / "gdm.tasc")
 LABOUR = str(CORPUS / "labour_birth.tasc")
@@ -491,31 +496,42 @@ _DOSE_LOOP_MODEL = json.dumps({"tasc_model": 1, "nodes": {
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("case", ["labour_birth", "loop"])
+@pytest.mark.parametrize("case", ["labour_birth", "loop", "wide"])
 def test_synth_check_generated_same_as_replayed(case, fmt, model_path, tmp_path, capsys):
-    # -n replays the traces it generates; --traces replays synth's file of the same traces
+    # -n replays what synth writes; --traces replays synth's file of the same traces
+    n, tolerance = "300", "0.1"
     if case == "loop":
         caremaps, model = tmp_path / "loop.tasc", tmp_path / "loop.json"
         caremaps.write_text(_DOSE_LOOP_MAP, encoding="utf-8")
         model.write_text(_DOSE_LOOP_MODEL, encoding="utf-8")
         common = (str(caremaps), "--model", str(model), "--entry", "loop")
+        rows = 2
+    elif case == "wide":  # six linked wards, each nesting a chain of maps 8 deep
+        wl = workloads.build_wide(ROOT, tmp_path, 3)
+        common = (str(wl.caremaps), "--model", str(wl.model), "--entry", wl.entry)
+        n, tolerance = "20", "1"
+        rows = workloads.WARDS * 3 * workloads.ROUTES  # route's edges, two per follow-up
     else:
         common = (LABOUR, "--model", model_path, "--entry", "labour_birth")
+        rows = 5
     traces = str(tmp_path / "t.jsonl")
-    assert run("synth", *common, "-n", "300", "--seed", "11", "--out", traces) == EXIT_OK
+    assert run("synth", *common, "-n", n, "--seed", "11", "--out", traces) == EXIT_OK
     outputs = []
-    for source in (("-n", "300", "--seed", "11"), ("--traces", traces)):
-        code = run("synth-check", *common, *source, "--format", fmt, "--tolerance", "0.1")
+    for source in (("-n", n, "--seed", "11"), ("--traces", traces)):
+        code = run("synth-check", *common, *source, "--format", fmt, "--tolerance", tolerance)
         outputs.append((code, capsys.readouterr()))
     assert outputs[0] == outputs[1]
     code, captured = outputs[0]
     assert code == EXIT_OK and captured.err == ""
-    assert captured.out.count("empirical") == (5 if case == "labour_birth" else 2)
+    assert captured.out.count("empirical") == rows
     if fmt == "json":  # a node's visits are the counts of its edges summed
         per_node: dict = {}
         for row in json.loads(captured.out)["rows"]:
-            per_node[row["node"]] = per_node.get(row["node"], 0.0) + row["empirical"]
-        assert all(abs(total - 1.0) < 1e-9 for total in per_node.values())
+            key = row["caremap"], row["node"]
+            per_node[key] = per_node.get(key, 0.0) + row["empirical"]
+        # 20 wide traces leave some follow-up decisions unvisited
+        visited = {round(total, 9) for total in per_node.values()}
+        assert visited == ({0.0, 1.0} if case == "wide" else {1.0})
 
 
 @pytest.mark.parametrize("command", ["synth", "synth-check"])
@@ -652,3 +668,55 @@ def test_dangling_reference_exit_three(case, tmp_path, capsys):
     ):
         assert run(*argv) == EXIT_IO
         assert capsys.readouterr() == ("", f"{caremaps}: {message}\n")
+
+
+def _tasc_to_closed_pipe(*argv):
+    """Run `python -m tasc` with stdout on a pipe whose read end is already closed."""
+    import tasc
+
+    src = os.path.dirname(os.path.dirname(tasc.__file__))
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "tasc", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("command", ["conform-text", "conform-json", "synth"])
+def test_closed_stdout_exits_three_quietly(command, model_path, tmp_path):
+    traces = str(tmp_path / "t.jsonl")
+    common = (LABOUR, "--entry", "labour_birth")
+    assert run("synth", *common, "--model", model_path, "-n", "50", "--seed", "1",
+               "--out", traces) == EXIT_OK
+    if command == "synth":
+        argv = ("synth", *common, "--model", model_path, "-n", "50", "--seed", "1", "--out", "-")
+    else:
+        argv = ("conform", *common, "--traces", traces, "--format", command.split("-")[1])
+    proc = _tasc_to_closed_pipe(*argv)
+    assert proc.returncode == EXIT_IO
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
+
+
+def test_sampler_exit_of_probability_zero_is_inescapable(tmp_path, capsys):
+    # inner's loop is left only when k == stop, which the sampler never draws
+    caremaps, model = tmp_path / "nest.tasc", tmp_path / "m.json"
+    caremaps.write_text(
+        'caremap "top" { entry s; exit e; nested activity n "N" ref inner; s -> n; n -> e; }\n'
+        'caremap "inner" { entry s; exit e; activity a "A"; decision d "D?";\n'
+        "  s -> a; a -> d; d -> a when k == more; d -> e otherwise; }\n",
+        encoding="utf-8",
+    )
+    model.write_text(json.dumps({"tasc_model": 1, "nodes": {"inner.d": {
+        "mode": "sampler", "var": "k",
+        "dist": {"kind": "categorical", "values": ["more", "stop"], "probs": [1.0, 0.0]},
+    }}}), encoding="utf-8")
+    out = tmp_path / "t.jsonl"
+    assert run("synth", str(caremaps), "--model", str(model), "--entry", "top", "-n", "2",
+               "--seed", "0", "--out", str(out)) == EXIT_IO
+    assert capsys.readouterr() == ("", "caremap 'inner': no positive-probability escape to a "
+                                       "terminal from ['a', 'd', 's']\n")
+    assert not out.exists()

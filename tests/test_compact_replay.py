@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from tasc import conformance, dsl, ingest, synthesis
+from tasc import cli, conformance, dsl, ingest, synthesis
 from tasc.conformance import (
     TOP_DIVERGENCE_POINTS,
     ActivityDone,
@@ -190,6 +190,23 @@ def test_batch_path_builds_no_event_objects(monkeypatch):
     assert summary.load_errors == ("line 4: activity event has no 'ref'",)
     with pytest.raises(AssertionError, match="built on the batch path"):
         load_traces(text)
+
+
+def test_cli_generation_builds_no_event_objects(monkeypatch, tmp_path, capsys):
+    # synth writes lines, and synth-check -n replays those lines as --traces does
+    wl = workloads.build_wide(ROOT, tmp_path, 3)  # branch, obs and activity events
+    common = (str(wl.caremaps), "--model", str(wl.model), "--entry", wl.entry)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built by the CLI")
+
+    for cls in (ActivityDone, Observation, BranchTaken, PatientTrace):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    out = tmp_path / "t.jsonl"
+    assert cli.main(["synth", *common, "-n", "5", "--seed", "2", "--out", str(out)]) == 0
+    assert cli.main(["synth-check", *common, "-n", "5", "--seed", "2", "--tolerance", "1"]) == 0
+    assert '"type": "branch"' in out.read_text(encoding="utf-8")
+    assert "max delta" in capsys.readouterr().out
 
 
 def test_deep_nesting_chain_replays_conformant():

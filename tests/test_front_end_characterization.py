@@ -42,7 +42,7 @@ from conftest import CORPUS, FIXTURES, ROOT
 PINNED = {
     "tokens": "37d68b69bf803ffc8941d03cf99a741d7d991125744ff9ca2ca5a2a6c424d8b7",
     "front_end": "6445971fcc295b73d00f10b6ea422b5f0b19f3e7751662b845aba7e2bd896a7e",
-    "compile": "ae874845b5bbd683d1462cdb6429360a8ae0adde97aed62fc46e390530f18052",
+    "compile": "4f5a383160503a86952751b7fce5aa385137c46e1ff6569c26fee77fd724a8be",
 }
 
 RANDOM_STRINGS = 20_000
@@ -113,7 +113,8 @@ _TWO_LOOPS = (
     "  b -> f; f -> b when w > 0; f -> c otherwise; c -> b; c -> e; c -> x; }"
 )
 
-# The entry map nests a map whose loop only a categorical sampler leaves.
+# The entry map nests a map whose loop only a categorical sampler leaves; a
+# value of probability 0 is no way out.
 _NESTED = (
     'caremap "top" { entry s; exit e; nested activity n "N" ref inner; s -> n; n -> e; }\n'
     'caremap "inner" { entry s; exit e; activity a "A"; decision d "D?";\n'

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tasc import dsl, ingest
-from tasc.conformance import ActivityDone, BranchTaken, batch_conform, trace_to_json
+from tasc.conformance import ActivityDone, BranchTaken, Observation, batch_conform, trace_to_json
 from tasc.synthesis import (
     Categorical,
     CompileError,
@@ -179,6 +179,26 @@ def test_emitters_fire_before_activity_done():
     kinds = [type(e).__name__ for e in trace.events]
     assert kinds == ["Observation", "ActivityDone"]
     assert 60.0 <= trace.events[0].value <= 100.0
+
+
+def test_generate_one_keeps_observation_types_units_and_times():
+    # generate_one decodes the line generate_line writes; == alone cannot tell 1, 1.0 and True apart
+    cmset = dsl.parse_or_raise(
+        'caremap "m" { entry s; exit e; activity a "A"; activity b "B"; s -> a; a -> b; b -> e; }'
+    )
+    levels = (1, 2.5, True, "high")
+    model = TransitionModel((), (
+        ("m.a", (Emitter("level", Categorical(levels, (0.25,) * 4), "grade"),)),
+        ("m.b", (Emitter("hr", NormalDist(80.0, 5.0)),)),
+    ))
+    stm = compile_stm(cmset, "m", model)
+    seen = set()
+    for i in range(40):
+        level, hr = (e for e in generate_one(stm, 5, i).events if isinstance(e, Observation))
+        assert (level.var, level.unit, level.at) == ("level", "grade", 0)
+        assert (hr.var, hr.unit, hr.at, type(hr.value)) == ("hr", None, 1, float)
+        seen.add((type(level.value), level.value))
+    assert seen == {(type(v), v) for v in levels}
 
 
 def test_step_cap():
