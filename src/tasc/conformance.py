@@ -128,11 +128,13 @@ def trace_to_json(trace: PatientTrace) -> str:
 # tagged with the JSON type, in the field order of the event classes:
 #   ("activity", ref, at)   ("obs", var, value, unit, at)   ("branch", decision, edge)
 # A decoded record is (trace_id, events). The batch path (conform_text)
-# label-checks and replays these as they are; load_traces, trace_from_json
-# and event_from_dict wrap them in the dataclasses.
+# label-checks and replays these as they are; load_traces and trace_from_json
+# wrap them in the dataclasses.
 
 CompactEvent = tuple
 Record = tuple[str, tuple[CompactEvent, ...]]
+# an observation's value is a JSON number, string or boolean (a bool is an int)
+OBS_VALUE_TYPES = (int, float, str)
 
 _EVENT_CLASSES = {"activity": ActivityDone, "obs": Observation, "branch": BranchTaken}
 
@@ -145,7 +147,12 @@ def _decode_event(d) -> CompactEvent:
         if kind == "activity":
             return ("activity", str(d["ref"]), d.get("at"))
         if kind == "obs":
-            return ("obs", str(d["var"]), d["value"], d.get("unit"), d.get("at"))
+            event = ("obs", str(d["var"]), d["value"], d.get("unit"), d.get("at"))
+            if not isinstance(event[2], OBS_VALUE_TYPES):
+                raise TraceFormatError(
+                    f"obs value must be a number, string or boolean, got {type(event[2]).__name__}"
+                )
+            return event
         if kind == "branch":
             return ("branch", str(d["decision"]), str(d["edge"]))
     except KeyError as e:
@@ -196,10 +203,6 @@ def _compact(ev: TraceEvent) -> CompactEvent:
     if isinstance(ev, Observation):
         return ("obs", ev.var, ev.value, ev.unit, ev.at)
     return ("branch", ev.decision, ev.edge)
-
-
-def event_from_dict(d: dict) -> TraceEvent:
-    return _event_of(_decode_event(d))
 
 
 def trace_from_json(line: str) -> PatientTrace:

@@ -1,9 +1,11 @@
 """Decision-criterion expressions and their three-valued evaluation."""
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class Tri(Enum):
@@ -219,19 +221,25 @@ def evaluate(criterion: Criterion, bindings: Bindings) -> Tri:
     raise TypeError(f"not a criterion: {criterion!r}")
 
 
-def free_vars(criterion: Criterion) -> set[str]:
-    if isinstance(criterion, (Comparison, InRange)):
-        return {criterion.var}
-    if isinstance(criterion, Predicate):
-        return {str(criterion.args[0])} if criterion.args else set()
+def atoms(criterion: Criterion) -> Iterator[Union[Comparison, InRange, Predicate]]:
+    """The comparisons, ranges and predicate calls of a criterion, left to right."""
     if isinstance(criterion, (And, Or)):
-        out: set[str] = set()
-        for c in criterion.children:
-            out |= free_vars(c)
-        return out
-    if isinstance(criterion, Not):
-        return free_vars(criterion.child)
-    return set()
+        for child in criterion.children:
+            yield from atoms(child)
+    elif isinstance(criterion, Not):
+        yield from atoms(criterion.child)
+    elif not isinstance(criterion, Otherwise):
+        yield criterion
+
+
+def free_vars(criterion: Criterion) -> set[str]:
+    out: set[str] = set()
+    for atom in atoms(criterion):
+        if not isinstance(atom, Predicate):
+            out.add(atom.var)
+        elif atom.args:
+            out.add(str(atom.args[0]))
+    return out
 
 
 # --- branch selection -------------------------------------------------------
@@ -294,15 +302,35 @@ def select_branch(
 
 
 # --- canonical text ---------------------------------------------------------
+#
+# The .tasc lexer (dsl._tokenize) reads a word with WORD_PATTERN and keeps it
+# only where it starts as starts_word says. The canonical text writes a string
+# literal bare only where the lexer reads it back as that one word, and writes
+# numbers in positional form, because the lexer reads no exponent.
+
+WORD_PATTERN = r"\w(?:[\w%/]|-(?!>))*|%"
+_WORD_RE = re.compile(WORD_PATTERN)
 
 
-def format_number(x: Literal) -> str:
-    if isinstance(x, str):
-        return x
+def starts_word(c: str) -> bool:
+    return c.isalpha() or c in "_%"
+
+
+def quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def format_number(x: float) -> str:
     f = float(x)
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
-    return repr(f)
+    return format(Decimal(repr(f)), "f")
+
+
+def _literal_text(x: Literal) -> str:
+    if not isinstance(x, str):
+        return format_number(x)
+    return x if _WORD_RE.fullmatch(x) and starts_word(x[0]) else quote(x)
 
 
 def criterion_text(criterion: Criterion, _parent: int = 0) -> str:
@@ -311,7 +339,7 @@ def criterion_text(criterion: Criterion, _parent: int = 0) -> str:
     if isinstance(criterion, Otherwise):
         return "otherwise"
     if isinstance(criterion, Comparison):
-        text = f"{criterion.var} {criterion.op} {format_number(criterion.value)}"
+        text = f"{criterion.var} {criterion.op} {_literal_text(criterion.value)}"
         if criterion.unit:
             text += f" {criterion.unit}"
         return text
@@ -321,7 +349,7 @@ def criterion_text(criterion: Criterion, _parent: int = 0) -> str:
             text += f" {criterion.unit}"
         return text
     if isinstance(criterion, Predicate):
-        return f"{criterion.name}({', '.join(format_number(a) for a in criterion.args)})"
+        return f"{criterion.name}({', '.join(_literal_text(a) for a in criterion.args)})"
     if isinstance(criterion, Not):
         return f"not {criterion_text(criterion.child, 3)}"
     if isinstance(criterion, (And, Or)):

@@ -7,13 +7,15 @@ joining an exit of one caremap to the entry of another.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
 from tasc import criteria as C
 from tasc.model import (
+    ACTIVITY_KINDS,
     DECISION_KINDS,
+    NESTED_KINDS,
     ActivityClass,
     Caremap,
     CaremapSet,
@@ -32,7 +34,6 @@ MAX_DIAGNOSTICS = 25
 MAX_CRITERION_DEPTH = 100
 
 ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
-DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class SourceSpan:
     file: str
     line: int  # 1-based
     column: int  # 1-based
-    length: int = 1
 
 
 class Severity(Enum):
@@ -77,10 +77,11 @@ class ParseFailure(ValueError):
 # One alternative per token class, tried in this order at each position. \d is
 # decimal digits only, so other numeric characters such as '²' are not numbers;
 # they are \w, so a word may start with one, and _tokenize rejects a word that
-# does not start with a letter, '_' or '%'. A decimal point that begins a '..'
-# range operator is not part of the number. Words cover identifiers and unit
-# strings like mmol/L or kg/m2, and stop before '->'. A string ends on its line,
-# even where the newline is escaped.
+# does not start with a letter, '_' or '%' (criteria.starts_word). A decimal
+# point that begins a '..' range operator is not part of the number. Words
+# (criteria.WORD_PATTERN) cover identifiers and unit strings like mmol/L or
+# kg/m2, and stop before '->'. A string ends on its line, even where the newline
+# is escaped.
 _TOKEN_RE = re.compile(
     r"""
     (?P<blank>[ \t\r]+)
@@ -89,7 +90,7 @@ _TOKEN_RE = re.compile(
     | "(?P<string>(?:[^"\\\n]|\\.)*)"
     | (?P<date>\d{4}-\d{2}-\d{2}(?![\d.]))
     | (?P<number>-?\d+(?:\.\d+)?)
-    | (?P<word>\w(?:[\w%/]|-(?!>))*|%)
+    | (?P<word>""" + C.WORD_PATTERN + r""")
     | (?P<symbol>->|\.\.|[<>=!]=|[{}\[\]();:,.<>])
     | (?P<bad>.)
     """,
@@ -106,7 +107,7 @@ class Token:
     column: int
 
     def span(self, file: str) -> SourceSpan:
-        return SourceSpan(file, self.line, self.column, max(1, len(self.text)))
+        return SourceSpan(file, self.line, self.column)
 
 
 class _LexError(ValueError):
@@ -138,7 +139,7 @@ def _tokenize(text: str) -> list[Token]:
             tokens.append(Token("string", body, line, col))
             continue
         c = text[start]
-        if kind == "bad" or (kind == "word" and not (c.isalpha() or c in "_%")):
+        if kind == "bad" or (kind == "word" and not C.starts_word(c)):
             # a '"' is bad only where no closing quote follows on its line
             message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
             raise _LexError(message, line, col)
@@ -151,15 +152,23 @@ def _tokenize(text: str) -> list[Token]:
 
 # --- parser -----------------------------------------------------------------
 
-_KIND_KEYWORDS = {
-    "entry": NodeKind.ENTRY_POINT,
-    "exit": NodeKind.EXIT_POINT,
-    "exclusion": NodeKind.EXCLUSION_POINT,
-    "activity": NodeKind.ACTIVITY,
-    "decision": NodeKind.DECISION,
+# The keyword that declares each node kind, read by the parser and written by
+# the serializer. A nested kind is 'nested' before its plain kind's keyword.
+_KIND_KEYWORD = {
+    NodeKind.ENTRY_POINT: "entry",
+    NodeKind.EXIT_POINT: "exit",
+    NodeKind.EXCLUSION_POINT: "exclusion",
+    NodeKind.ACTIVITY: "activity",
+    NodeKind.NESTED_ACTIVITY: "nested activity",
+    NodeKind.DECISION: "decision",
+    NodeKind.NESTED_DECISION: "nested decision",
 }
-
-_META_KEYWORDS = ("title", "scenario", "date", "version", "team", "evidence", "variance_log")
+_KIND_OF_KEYWORD = {keyword: kind for kind, keyword in _KIND_KEYWORD.items()}
+_DECLARATION_WORDS = {keyword.split()[0] for keyword in _KIND_OF_KEYWORD}
+# kinds whose declaration must carry a label string
+_LABELLED_KINDS = ACTIVITY_KINDS | DECISION_KINDS
+# the criterion connectives, loosest first
+_CONNECTIVES = (("or", C.Or), ("and", C.And))
 
 _CLASS_BY_NAME = {ac.value: ac for ac in ActivityClass}
 _ASPECT_BY_NAME = {a.value: a for a in DecisionAspect}
@@ -197,8 +206,8 @@ class Parser:
 
     # -- token plumbing
 
-    def _peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def _next(self) -> Token:
         tok = self._peek()
@@ -214,23 +223,18 @@ class Parser:
         t = self._peek()
         return t.kind == "symbol" and t.text == sym
 
-    def _expect_symbol(self, sym: str) -> Token:
+    def _expect(self, want: str, what: str = "string") -> Token:
+        """Consume the token at the cursor, which must be the symbol `want`, a
+        string (want "string") or an identifier (want "id"); `what` names a
+        string or an identifier in the diagnostic."""
         t = self._peek()
-        if not self._at_symbol(sym):
-            self._error("E-SYNTAX", f"expected {sym!r}, found {t.text or 'end of input'!r}", t)
-            raise _Resync()
-        return self._next()
-
-    def _expect_id(self, what: str = "identifier") -> Token:
-        t = self._peek()
-        if t.kind != "word" or not ID_RE.match(t.text):
-            self._error("E-SYNTAX", f"expected {what}, found {t.text or 'end of input'!r}", t)
-            raise _Resync()
-        return self._next()
-
-    def _expect_string(self, what: str = "string") -> Token:
-        t = self._peek()
-        if t.kind != "string":
+        if want == "id":
+            found = t.kind == "word" and ID_RE.match(t.text)
+        elif want == "string":
+            found = t.kind == "string"
+        else:
+            found, what = self._at_symbol(want), repr(want)
+        if not found:
             self._error("E-SYNTAX", f"expected {what}, found {t.text or 'end of input'!r}", t)
             raise _Resync()
         return self._next()
@@ -297,13 +301,13 @@ class Parser:
     def _parse_link(self) -> Optional[MultiLevelLink]:
         try:
             self._next()  # link
-            from_cm = self._expect_id("caremap id").text
-            self._expect_symbol(".")
-            from_node = self._expect_id("node id").text
-            self._expect_symbol("->")
-            to_cm = self._expect_id("caremap id").text
-            self._expect_symbol(".")
-            to_node = self._expect_id("node id").text
+            from_cm = self._expect("id", "caremap id").text
+            self._expect(".")
+            from_node = self._expect("id", "node id").text
+            self._expect("->")
+            to_cm = self._expect("id", "caremap id").text
+            self._expect(".")
+            to_node = self._expect("id", "node id").text
             if self._at_symbol(";"):
                 self._next()
             return MultiLevelLink(from_cm, from_node, to_cm, to_node)
@@ -314,15 +318,15 @@ class Parser:
     def _parse_caremap(self) -> Optional[Caremap]:
         self._next()  # caremap
         try:
-            id_tok = self._expect_string("caremap id string")
+            id_tok = self._expect("string", "caremap id string")
             if not ID_RE.match(id_tok.text):
                 self._error("E-SYNTAX", f"caremap id {id_tok.text!r} is not a valid identifier", id_tok)
-            self._expect_symbol("{")
+            self._expect("{")
         except _Resync:
             self._resync_stmt()
             return None
         cm_id = id_tok.text
-        meta: dict[str, object] = {}
+        meta: dict[str, object] = {}  # Caremap field -> value
         nodes: list[Node] = []
         node_ids: dict[str, Token] = {}
         raw_edges: list[_RawEdge] = []
@@ -342,27 +346,16 @@ class Parser:
         if any(d.severity is Severity.ERROR for d in self.diagnostics):
             return None
         try:
-            return Caremap(
-                id=cm_id,
-                title=str(meta.get("title", "")),
-                scenario=meta.get("scenario"),  # type: ignore[arg-type]
-                date=meta.get("date"),  # type: ignore[arg-type]
-                version=meta.get("version"),  # type: ignore[arg-type]
-                team=meta.get("team"),  # type: ignore[arg-type]
-                evidence_refs=tuple(meta.get("evidence", ())),  # type: ignore[arg-type]
-                variance_log_ref=meta.get("variance_log"),  # type: ignore[arg-type]
-                nodes=tuple(nodes),
-                edges=edges,
-            )
+            return Caremap(id=cm_id, nodes=tuple(nodes), edges=edges, **meta)
         except ModelError as e:
             self._error("E-MODEL", str(e), id_tok)
             return None
 
     def _parse_stmt(self, meta, nodes, node_ids, raw_edges) -> None:
         t = self._peek()
-        if t.kind == "word" and t.text in _META_KEYWORDS:
+        if t.kind == "word" and t.text in _META:
             self._parse_meta(meta)
-        elif t.kind == "word" and (t.text in _KIND_KEYWORDS or t.text == "nested"):
+        elif t.kind == "word" and t.text in _DECLARATION_WORDS:
             self._parse_decl(nodes, node_ids)
         elif t.kind == "word" and ID_RE.match(t.text):
             self._parse_edge(raw_edges)
@@ -374,30 +367,35 @@ class Parser:
 
     def _parse_meta(self, meta: dict) -> None:
         key_tok = self._next()
-        key = key_tok.text
-        if key in meta:
-            self._error("E-DUP", f"duplicate {key!r} metadata", key_tok)
-        if key in ("title", "scenario", "team", "variance_log"):
-            meta[key] = self._expect_string().text
-        elif key == "date":
-            t = self._peek()
-            if t.kind != "date":
-                self._error("E-SYNTAX", f"expected ISO date (YYYY-MM-DD), found {t.text!r}", t)
-                raise _Resync()
-            meta[key] = self._next().text
-        elif key == "version":
-            t = self._peek()
-            if t.kind != "number" or not t.text.isdigit() or int(t.text) < 1:
-                self._error("E-SYNTAX", f"version must be an integer >= 1, found {t.text!r}", t)
-                raise _Resync()
-            meta[key] = int(self._next().text)
-        elif key == "evidence":
-            refs = [self._expect_string().text]
-            while self._at_symbol(","):
-                self._next()
-                refs.append(self._expect_string().text)
-            meta[key] = tuple(refs)
+        field_name, (read, _) = _META[key_tok.text]
+        if field_name in meta:
+            self._error("E-DUP", f"duplicate {key_tok.text!r} metadata", key_tok)
+        meta[field_name] = read(self)
         self._terminate_stmt()
+
+    def _read_string(self) -> str:
+        return self._expect("string").text
+
+    def _read_strings(self) -> tuple[str, ...]:
+        strings = [self._read_string()]
+        while self._at_symbol(","):
+            self._next()
+            strings.append(self._read_string())
+        return tuple(strings)
+
+    def _read_date(self) -> str:
+        t = self._peek()
+        if t.kind != "date":
+            self._error("E-SYNTAX", f"expected ISO date (YYYY-MM-DD), found {t.text!r}", t)
+            raise _Resync()
+        return self._next().text
+
+    def _read_version(self) -> int:
+        t = self._peek()
+        if t.kind != "number" or not t.text.isdigit() or int(t.text) < 1:
+            self._error("E-SYNTAX", f"version must be an integer >= 1, found {t.text!r}", t)
+            raise _Resync()
+        return int(self._next().text)
 
     def _terminate_stmt(self) -> None:
         if self._at_symbol(";"):
@@ -408,36 +406,34 @@ class Parser:
             raise _Resync()
 
     def _parse_decl(self, nodes: list[Node], node_ids: dict[str, Token]) -> None:
-        nested = False
-        if self._at_word("nested"):
-            nested = True
-            self._next()
-            if not self._at_word("activity", "decision"):
-                t = self._peek()
-                self._error("E-SYNTAX", f"expected 'activity' or 'decision' after 'nested', found {t.text!r}", t)
-                raise _Resync()
         kw_tok = self._next()
-        kind = _KIND_KEYWORDS[kw_tok.text]
-        if nested:
-            kind = (
-                NodeKind.NESTED_ACTIVITY if kind is NodeKind.ACTIVITY else NodeKind.NESTED_DECISION
-            )
-        id_tok = self._expect_id("node id")
+        keyword = kw_tok.text
+        if keyword not in _KIND_OF_KEYWORD:  # the first of a two-word keyword
+            seconds = [k.split()[1] for k in _KIND_OF_KEYWORD if k.startswith(keyword + " ")]
+            if not self._at_word(*seconds):
+                t = self._peek()
+                expected = " or ".join(map(repr, seconds))
+                self._error("E-SYNTAX", f"expected {expected} after {keyword!r}, found {t.text!r}", t)
+                raise _Resync()
+            kw_tok = self._next()
+            keyword += " " + kw_tok.text
+        kind = _KIND_OF_KEYWORD[keyword]
+        id_tok = self._expect("id", "node id")
         label = ""
         if self._peek().kind == "string":
             label = self._next().text
-        elif kind in (NodeKind.ACTIVITY, NodeKind.NESTED_ACTIVITY, NodeKind.DECISION, NodeKind.NESTED_DECISION):
+        elif kind in _LABELLED_KINDS:
             t = self._peek()
             self._error("E-SYNTAX", f"{kw_tok.text} {id_tok.text!r} needs a label string", t)
             raise _Resync()
         nested_ref = None
-        if nested:
+        if kind in NESTED_KINDS:
             if not self._at_word("ref"):
                 t = self._peek()
-                self._error("E-SYNTAX", f"nested {kw_tok.text} needs 'ref <caremap-id>'", t)
+                self._error("E-SYNTAX", f"{keyword} needs 'ref <caremap-id>'", t)
                 raise _Resync()
             self._next()
-            nested_ref = self._expect_id("caremap id").text
+            nested_ref = self._expect("id", "caremap id").text
         content_type, activity_class, aspect, duration, annotation = self._parse_tags(kind, id_tok)
         self._terminate_stmt()
 
@@ -473,8 +469,8 @@ class Parser:
                 content_type = _CONTENT_BY_NAME[self._next().text]
             elif self._at_word("aspect"):
                 self._next()
-                self._expect_symbol(":")
-                name_tok = self._expect_id("decision aspect")
+                self._expect(":")
+                name_tok = self._expect("id", "decision aspect")
                 if name_tok.text not in _ASPECT_BY_NAME:
                     self._error(
                         "E-TAG",
@@ -485,12 +481,12 @@ class Parser:
                     aspect = _ASPECT_BY_NAME[name_tok.text]
             elif self._at_word("class"):
                 self._next()
-                self._expect_symbol(":")
+                self._expect(":")
                 t2 = self._peek()
                 if t2.kind == "string":
                     activity_class = self._next().text  # free-text class
                 else:
-                    name_tok = self._expect_id("activity class")
+                    name_tok = self._expect("id", "activity class")
                     if name_tok.text in _CLASS_BY_NAME:
                         activity_class = _CLASS_BY_NAME[name_tok.text]
                     else:
@@ -501,7 +497,7 @@ class Parser:
                         )
             elif self._at_word("duration"):
                 self._next()
-                self._expect_symbol(":")
+                self._expect(":")
                 num_tok = self._peek()
                 if num_tok.kind != "number":
                     self._error("E-SYNTAX", f"expected duration value, found {num_tok.text!r}", num_tok)
@@ -515,47 +511,47 @@ class Parser:
                 duration = Duration(float(num_tok.text), unit_tok.text)
             elif self._at_word("note"):
                 self._next()
-                self._expect_symbol(":")
-                annotation = self._expect_string().text
+                self._expect(":")
+                annotation = self._expect("string").text
             else:
                 self._error("E-TAG", f"unknown tag {t.text!r}", t if t.kind != "eof" else open_tok)
                 raise _Resync()
-            self._expect_symbol("]")
+            self._expect("]")
         return content_type, activity_class, aspect, duration, annotation
 
     def _parse_edge(self, raw_edges: list[_RawEdge]) -> None:
-        from_tok = self._expect_id("node id")
-        self._expect_symbol("->")
-        to_tok = self._expect_id("node id")
+        from_tok = self._expect("id", "node id")
+        self._expect("->")
+        to_tok = self._expect("id", "node id")
         criterion: Optional[C.Criterion] = None
         if self._at_word("when"):
             self._next()
             self._depth = 0  # a syntax error inside the last criterion left its levels open
-            criterion = self._parse_or()
+            criterion = self._parse_chain()
         elif self._at_word("otherwise"):
             self._next()
             criterion = C.OTHERWISE
         annotation = None
         if self._at_word("note"):
             self._next()
-            annotation = self._expect_string().text
+            annotation = self._expect("string").text
         self._terminate_stmt()
         raw_edges.append(_RawEdge(from_tok.text, to_tok.text, criterion, annotation, from_tok))
 
     # criterion grammar: or > and > not > atom
-    def _parse_or(self) -> C.Criterion:
-        parts = [self._parse_and()]
-        while self._at_word("or"):
+    def _parse_chain(self, level: int = 0) -> C.Criterion:
+        """Parse a chain of the connective at `level` in _CONNECTIVES, or below the last a 'not'."""
+        if level == len(_CONNECTIVES):
+            return self._parse_not()
+        word, connective = _CONNECTIVES[level]
+        parts: list[C.Criterion] = []
+        while True:
+            part = self._parse_chain(level + 1)
+            # '(a and b) and c' is the chain 'a and b and c', as its canonical text says
+            parts += part.children if isinstance(part, connective) else (part,)
+            if not self._at_word(word):
+                return parts[0] if len(parts) == 1 else connective(tuple(parts))
             self._next()
-            parts.append(self._parse_and())
-        return parts[0] if len(parts) == 1 else C.Or(tuple(parts))
-
-    def _parse_and(self) -> C.Criterion:
-        parts = [self._parse_not()]
-        while self._at_word("and"):
-            self._next()
-            parts.append(self._parse_not())
-        return parts[0] if len(parts) == 1 else C.And(tuple(parts))
 
     def _open_level(self) -> None:
         """Consume the 'not' or '(' at the cursor, which opens a criterion level."""
@@ -577,14 +573,14 @@ class Parser:
         t = self._peek()
         if self._at_symbol("("):
             self._open_level()
-            inner = self._parse_or()
-            self._expect_symbol(")")
+            inner = self._parse_chain()
+            self._expect(")")
             self._depth -= 1
             return inner
         if self._at_word("otherwise"):
             self._error("E-SYNTAX", "'otherwise' cannot be nested inside a criterion", t)
             raise _Resync()
-        name_tok = self._expect_id("variable or predicate name")
+        name_tok = self._expect("id", "variable or predicate name")
         if self._at_symbol("("):
             self._next()
             args: list[C.Literal] = []
@@ -593,7 +589,7 @@ class Parser:
                 while self._at_symbol(","):
                     self._next()
                     args.append(self._parse_literal())
-            self._expect_symbol(")")
+            self._expect(")")
             if not C.has_predicate(name_tok.text):
                 self._error("E-UNDEF", f"unknown predicate {name_tok.text!r}", name_tok)
             elif not args:
@@ -604,7 +600,7 @@ class Parser:
         if self._at_word("in"):
             self._next()
             low = self._parse_number()
-            self._expect_symbol("..")
+            self._expect("..")
             high = self._parse_number()
             unit = self._parse_unit()
             return C.InRange(name_tok.text, low, high, unit)
@@ -698,9 +694,10 @@ class Parser:
             if e.from_id not in decision_ids or e.criterion is None:
                 continue
             units = units_by_decision.setdefault(e.from_id, {})
-            for var, unit in _comparison_units(e.criterion):
-                if unit is None:
+            for atom in C.atoms(e.criterion):
+                if isinstance(atom, C.Predicate) or atom.unit is None:
                     continue
+                var, unit = atom.var, atom.unit
                 if var in units and units[var] != unit:
                     self._error(
                         "E-UNIT",
@@ -712,14 +709,23 @@ class Parser:
                     units[var] = unit
 
 
-def _comparison_units(criterion: C.Criterion):
-    if isinstance(criterion, (C.Comparison, C.InRange)):
-        yield criterion.var, criterion.unit
-    elif isinstance(criterion, (C.And, C.Or)):
-        for child in criterion.children:
-            yield from _comparison_units(child)
-    elif isinstance(criterion, C.Not):
-        yield from _comparison_units(criterion.child)
+# How the parser reads and the serializer writes each form of metadata value.
+_STRING = (Parser._read_string, C.quote)
+_STRINGS = (Parser._read_strings, lambda strings: ", ".join(map(C.quote, strings)))
+_DATE = (Parser._read_date, str)
+_VERSION = (Parser._read_version, str)
+
+# Caremap metadata statements in canonical order: keyword -> (Caremap field,
+# value form).
+_META = {
+    "title": ("title", _STRING),
+    "scenario": ("scenario", _STRING),
+    "date": ("date", _DATE),
+    "version": ("version", _VERSION),
+    "team": ("team", _STRING),
+    "evidence": ("evidence_refs", _STRINGS),
+    "variance_log": ("variance_log_ref", _STRING),
+}
 
 
 def parse(text: str, filename: str = "<input>") -> ParseResult:
@@ -735,25 +741,14 @@ def parse_or_raise(text: str, filename: str = "<input>") -> CaremapSet:
 
 # --- canonical serializer ---------------------------------------------------
 
-_KIND_SYNTAX = {
-    NodeKind.ENTRY_POINT: "entry",
-    NodeKind.EXIT_POINT: "exit",
-    NodeKind.EXCLUSION_POINT: "exclusion",
-    NodeKind.ACTIVITY: "activity",
-    NodeKind.NESTED_ACTIVITY: "nested activity",
-    NodeKind.DECISION: "decision",
-    NodeKind.NESTED_DECISION: "nested decision",
-}
-
-
-def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+# a metadata field is written where it differs from its default
+_CAREMAP_DEFAULTS = {f.name: f.default for f in fields(Caremap)}
 
 
 def _node_line(n: Node) -> str:
-    parts = [_KIND_SYNTAX[n.kind], n.id]
-    if n.label:
-        parts.append(_quote(n.label))
+    parts = [_KIND_KEYWORD[n.kind], n.id]
+    if n.label or n.kind in _LABELLED_KINDS:
+        parts.append(C.quote(n.label))
     if n.nested_ref:
         parts.append(f"ref {n.nested_ref}")
     if n.content_type:
@@ -762,13 +757,13 @@ def _node_line(n: Node) -> str:
         if isinstance(n.activity_class, ActivityClass):
             parts.append(f"[class: {n.activity_class.value}]")
         else:
-            parts.append(f"[class: {_quote(n.activity_class)}]")
+            parts.append(f"[class: {C.quote(n.activity_class)}]")
     if n.aspect:
         parts.append(f"[aspect: {n.aspect.value}]")
     if n.duration:
         parts.append(f"[duration: {C.format_number(n.duration.value)} {n.duration.unit}]")
-    if n.annotation:
-        parts.append(f"[note: {_quote(n.annotation)}]")
+    if n.annotation is not None:
+        parts.append(f"[note: {C.quote(n.annotation)}]")
     return " ".join(parts) + ";"
 
 
@@ -778,8 +773,8 @@ def _edge_line(e: Edge) -> str:
         parts.append("otherwise")
     elif e.criterion is not None:
         parts.append(f"when {C.criterion_text(e.criterion)}")
-    if e.annotation:
-        parts.append(f"note {_quote(e.annotation)}")
+    if e.annotation is not None:
+        parts.append(f"note {C.quote(e.annotation)}")
     return " ".join(parts) + ";"
 
 
@@ -790,21 +785,11 @@ def serialize(cmset: CaremapSet) -> str:
     """
     lines: list[str] = []
     for cm in cmset.caremaps:
-        lines.append(f"caremap {_quote(cm.id)} {{")
-        if cm.title:
-            lines.append(f"  title {_quote(cm.title)};")
-        if cm.scenario:
-            lines.append(f"  scenario {_quote(cm.scenario)};")
-        if cm.date:
-            lines.append(f"  date {cm.date};")
-        if cm.version is not None:
-            lines.append(f"  version {cm.version};")
-        if cm.team:
-            lines.append(f"  team {_quote(cm.team)};")
-        if cm.evidence_refs:
-            lines.append("  evidence " + ", ".join(_quote(r) for r in cm.evidence_refs) + ";")
-        if cm.variance_log_ref:
-            lines.append(f"  variance_log {_quote(cm.variance_log_ref)};")
+        lines.append(f"caremap {C.quote(cm.id)} {{")
+        for keyword, (field_name, (_, write)) in _META.items():
+            value = getattr(cm, field_name)
+            if value != _CAREMAP_DEFAULTS[field_name]:
+                lines.append(f"  {keyword} {write(value)};")
         for n in cm.nodes:
             lines.append("  " + _node_line(n))
         for e in cm.edges:

@@ -5,7 +5,7 @@ vocabulary (UML-activity-diagram heritage) and emission order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from tasc.criteria import Otherwise, criterion_text
 from tasc.model import CaremapSet, Node, NodeKind
@@ -25,16 +25,10 @@ _CONTENT_COLORS = {"diagnosis": "lightblue", "treatment": "lightgoldenrod", "mon
 
 @dataclass(frozen=True)
 class StyleProfile:
-    name: str = "mono"
     monochrome: bool = True
-    cluster: bool = True
-    glyphs: tuple[tuple[NodeKind, tuple[tuple[str, str], ...]], ...] = tuple(
-        (kind, tuple(sorted(attrs.items()))) for kind, attrs in _BASE_GLYPHS.items()
-    )
 
     def attrs_for(self, node: Node) -> dict[str, str]:
-        glyph_map = dict(self.glyphs)
-        attrs = dict(glyph_map[node.kind])
+        attrs = dict(_BASE_GLYPHS[node.kind])
         if "label" not in attrs:
             attrs["label"] = node.label or node.id
         if not self.monochrome and node.content_type is not None:
@@ -44,8 +38,8 @@ class StyleProfile:
         return attrs
 
 
-MONO = StyleProfile("mono", monochrome=True)
-COLOR = StyleProfile("color", monochrome=False)
+MONO = StyleProfile(monochrome=True)
+COLOR = StyleProfile(monochrome=False)
 
 PROFILES = {"mono": MONO, "color": COLOR}
 

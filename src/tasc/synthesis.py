@@ -11,6 +11,7 @@ from typing import Iterator, Optional, Union
 
 from tasc import criteria as C
 from tasc.conformance import (
+    OBS_VALUE_TYPES,
     BatchSummary,
     PatientTrace,
     _plan,
@@ -154,7 +155,13 @@ def _dist_to_json(d: Distribution) -> dict:
 def _dist_from_json(d: dict) -> Distribution:
     kind = d.get("kind")
     if kind == "categorical":
-        return Categorical(tuple(d["values"]), tuple(float(p) for p in d["probs"]))
+        values = tuple(d["values"])
+        for v in values:  # each is emitted as an observation value
+            if not isinstance(v, OBS_VALUE_TYPES):
+                raise TypeError(
+                    f"categorical values must be numbers, strings or booleans, got {type(v).__name__}"
+                )
+        return Categorical(values, tuple(float(p) for p in d["probs"]))
     if kind == "normal":
         return NormalDist(float(d["mu"]), float(d["sigma"]))
     if kind == "uniform":

@@ -29,7 +29,6 @@ from tasc.model import (
 )
 
 ERROR_CODES = ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9")
-WARNING_CODES = ("W-FREE", "W-EXH", "W-CNT", "W-LFC")
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,12 @@ def test_conform_record_error_same_for_any_workers(records, outcome, tmp_path, c
         ({"events": [{"type": "branch", "decision": "d"}]}, "branch event has no 'edge'"),
         ({"events": 5}, "events must be a list, got int"),
         ({"events": [5]}, "event must be an object, got int"),
+        ({"events": [{"type": "activity", "ref": "a1"},
+                     {"type": "obs", "var": "glucose", "value": [1]}]},
+         "obs value must be a number, string or boolean, got list"),
+        ({"events": [{"type": "activity", "ref": "a1"},
+                     {"type": "obs", "var": "glucose", "value": None}]},
+         "obs value must be a number, string or boolean, got NoneType"),
         (_DEEP_EVENTS, "bad JSON: maximum recursion depth exceeded while decoding a JSON "
                        "array from a unicode string"),
         (_BIG_INT_EVENTS, "bad JSON: Exceeds the limit (4300 digits) for integer string "
@@ -334,7 +340,7 @@ def test_conform_record_error_same_for_any_workers(records, outcome, tmp_path, c
                           "to increase the limit"),
     ],
     ids=["no-ref", "no-var", "no-value", "no-decision", "no-edge", "events-not-list",
-         "event-not-object", "deep", "big-int"],
+         "event-not-object", "value-list", "value-null", "deep", "big-int"],
 )
 def test_conform_malformed_event_is_load_error(record, message, tmp_path, capsys):
     # record: the fields of trace "b" besides its trace_id, or the raw JSON of its events
@@ -555,8 +561,13 @@ def test_negative_count_is_usage_error(command, model_path, tmp_path, capsys):
         ({"labour_birth.onset": {"mode": "sampler", "var": "onset_type",
                                  "dist": {"kind": "normal", "mu": 0.5}}},
          "model node 'labour_birth.onset' has no 'sigma'"),
+        ({"labour_birth.onset": {"mode": "sampler", "var": "onset_type",
+                                 "dist": {"kind": "categorical", "values": ["spontaneous", None],
+                                          "probs": [0.5, 0.5]}}},
+         "model node 'labour_birth.onset' is malformed: categorical values must be numbers, "
+         "strings or booleans, got NoneType"),
     ],
-    ids=["top-level-list", "no-probs", "no-sigma"],
+    ids=["top-level-list", "no-probs", "no-sigma", "null-categorical"],
 )
 def test_malformed_model_exit_three(doc, message, tmp_path, capsys):
     model = tmp_path / "model.json"

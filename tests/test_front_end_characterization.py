@@ -12,6 +12,12 @@ Each section is one sha256 over JSON lines:
 - ``front_end``: the rendered parse diagnostics, the ``serialize`` output
   and the ``validate`` diagnostics (default and strict) of every corpus and
   fixture file.
+- ``parse_errors``: the rendered parse diagnostics, and the ``serialize``
+  output where the text parses, of seeded random statement sequences: whole
+  and cut-short statements, declarations and criteria, chosen so that every
+  reachable diagnostic site of the parser fires. Their literals are ones
+  whose canonical text does not depend on how ``fmt`` writes exponents or
+  quotes.
 - ``compile``: the ``compile_stm`` outcome (error type and message, or
   provenance) for labour_birth with its ingested model, and for maps that
   do and do not escape their loops with positive probability.
@@ -19,13 +25,17 @@ Each section is one sha256 over JSON lines:
 The digests were computed with the lexer that walked the text one
 character at a time and the graph searches written out in each module, so
 they pin the outputs across the move to one token pattern and one
-reachability search.
+reachability search. The ``parse_errors`` digest was computed with the
+parser and the serializer that each spelled out every construct, so it pins
+the diagnostics across the move to one syntax table read both ways.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import random
+import re
+from collections import Counter
 
 from tasc import dsl, ingest
 from tasc.synthesis import (
@@ -42,6 +52,7 @@ from conftest import CORPUS, FIXTURES, ROOT
 PINNED = {
     "tokens": "37d68b69bf803ffc8941d03cf99a741d7d991125744ff9ca2ca5a2a6c424d8b7",
     "front_end": "6445971fcc295b73d00f10b6ea422b5f0b19f3e7751662b845aba7e2bd896a7e",
+    "parse_errors": "2d17c28773066978efb48f0b3eafb0477883338ba7ac2cf7d13457ccfb6626c8",
     "compile": "4f5a383160503a86952751b7fce5aa385137c46e1ff6569c26fee77fd724a8be",
 }
 
@@ -96,6 +107,110 @@ def front_end_lines():
                     d.as_dict() for d in validate(result.set, ValidatorConfig(strict=strict))
                 ]
         yield json.dumps([name, out], ensure_ascii=False, sort_keys=True)
+
+
+PARSE_TEXTS = 3000
+
+# Statements that parse where the declarations are in scope, and statements
+# that each reach one diagnostic site.
+_GOOD = (
+    '} caremap "m" {', "link m.e -> n.s;", 'title "T";', 'scenario "S";', "date 2024-01-31;",
+    "version 2;", 'team "t";', 'evidence "a", "b";', 'variance_log "v";', 'exclusion x "X";',
+    'nested activity n "N" ref m;',
+    'activity t "T" [class: set_goals] [treatment] [duration: 2.5 h] [note: "n"];',
+    'decision r "R?" [aspect: prognosis] [class: "free"];', "s -> a;", "a -> d;",
+    "d -> a otherwise;", 'a -> d note "why";', "d -> e when count_above(x, 3, 2);",
+    "d -> e when x in 1..5 mg;", "d -> e when mode == high;", ";",
+    "d -> e when (x > 1 or y < 2) and not z != 0;",
+    "d -> e when x > 1 mg or y == z; d -> a when x < 1 g;",
+)
+_DECLARATIONS = 'entry s; exit e; activity a "A"; decision d "D?";'
+_BAD = (
+    'caremap "n" {', 'caremap "1x" {', "caremap", "link", "link m.", "link 5", "title", "title x;",
+    "date 2024-01-3", "version 0", 'evidence "a",', "activity a;", 'activity b "B" [aspect: therapy];',
+    'activity c "C" [diagnosis] [treatment];', 'activity g "G" [class: bogus];',
+    'activity h "H" [duration: soon];', 'activity u "U" [duration: 5];', 'activity k "K" [bogus];',
+    'decision f "F?" [aspect: x];', "nested", 'nested decision q "Q?"', "ref", "[class:",
+    "[aspect: x]", "[duration: 5]", "[note:", "[", "s -> ghost;", "d -> e when", "when", "otherwise",
+    "d -> e when " + "not " * 101 + "x > 1;", "d -> e when not otherwise;",
+    "d -> e when foo(x, 1);", "d -> e when consecutive_above();", "d -> e when count_above(x,;",
+    "d -> e when x > high;", "d -> e when x ==;", "d -> e when x in a..b;", "d -> e when x;",
+    "entry s;", 'activity a "A";', 'title "T" "U";', "}", "->", "x", "5", "# c", '"open', "@",
+)
+
+
+def _statement_texts():
+    rng = random.Random(26)
+    for _ in range(PARSE_TEXTS):
+        parts = [
+            rng.choice(_GOOD if rng.random() < 0.85 else _BAD) for _ in range(rng.randrange(1, 12))
+        ]
+        if rng.random() < 0.7:
+            parts.insert(0, _DECLARATIONS)
+        if rng.random() < 0.8:
+            parts.insert(0, 'caremap "m" {')
+        if rng.random() < 0.6:
+            parts.append("}")
+        yield rng.choice((" ", "\n")).join(parts)
+
+
+def parse_error_lines():
+    for text in _statement_texts():
+        result = dsl.parse(text, "p.tasc")
+        out = {"diagnostics": [d.render() for d in result.diagnostics]}
+        if result.set is not None:
+            out["serialize"] = dsl.serialize(result.set)
+        yield json.dumps([text, out], ensure_ascii=False, sort_keys=True)
+
+
+# Each diagnostic site of the parser as (code, message pattern). Two sites
+# never fire, so they are not listed: the E-MODEL of building a Caremap and
+# that of building the CaremapSet. The parser rejects everything they check
+# first (duplicate node and edge ids, edges to undeclared nodes, versions
+# below 1, duplicate caremap ids).
+_SITES = {
+    "lexer": ("E-SYNTAX", r"unterminated string|unexpected character .*"),
+    "top-level": ("E-SYNTAX", r"expected 'caremap' or 'link', found .*"),
+    "duplicate-caremap": ("E-DUP", r"duplicate caremap id .*"),
+    "symbol": ("E-SYNTAX", r"expected '(\.|->|\{|:|\]|\)|\.\.)', found .*"),
+    "identifier": (
+        "E-SYNTAX",
+        r"expected (caremap id|node id|decision aspect|activity class"
+        r"|variable or predicate name), found .*",
+    ),
+    "string": ("E-SYNTAX", r"expected (string|caremap id string), found .*"),
+    "caremap-id": ("E-SYNTAX", r"caremap id .* is not a valid identifier"),
+    "unclosed": ("E-SYNTAX", r"unclosed caremap block"),
+    "statement": ("E-SYNTAX", r"unexpected .* in caremap block"),
+    "duplicate-metadata": ("E-DUP", r"duplicate '\w+' metadata"),
+    "date": ("E-SYNTAX", r"expected ISO date \(YYYY-MM-DD\), found .*"),
+    "version": ("E-SYNTAX", r"version must be an integer >= 1, found .*"),
+    "terminator": ("E-SYNTAX", r"expected ';', found .*"),
+    "nested-kind": ("E-SYNTAX", r"expected 'activity' or 'decision' after 'nested', found .*"),
+    "label": ("E-SYNTAX", r"\w+ '\w+' needs a label string"),
+    "nested-ref": ("E-SYNTAX", r"nested (activity|decision) needs 'ref <caremap-id>'"),
+    "duplicate-node": ("E-DUP", r"duplicate node id .*"),
+    "node-model": ("E-MODEL", r"node .*"),
+    "duplicate-content": ("E-DUP", r"duplicate content-type tag"),
+    "aspect": ("E-TAG", r"unknown aspect .*"),
+    "class": ("E-TAG", r"unknown activity class .*; quote it for a free-text class"),
+    "duration-value": ("E-SYNTAX", r"expected duration value, found .*"),
+    "duration-unit": ("E-SYNTAX", r"duration needs a unit word"),
+    "tag": ("E-TAG", r"unknown tag .*"),
+    "depth": ("E-SYNTAX", r"criterion nested too deeply"),
+    "otherwise": ("E-SYNTAX", r"'otherwise' cannot be nested inside a criterion"),
+    "predicate": ("E-UNDEF", r"unknown predicate .*"),
+    "predicate-args": ("E-UNDEF", r"predicate .* needs a variable argument"),
+    "categorical": ("E-SYNTAX", r"categorical values allow only == and !="),
+    "comparison-value": ("E-SYNTAX", r"expected comparison value, found .*"),
+    "comparison": ("E-SYNTAX", r"expected comparison, 'in', or '\(', found .*"),
+    "number": ("E-SYNTAX", r"expected number, found .*"),
+    "literal": ("E-SYNTAX", r"expected literal, found .*"),
+    "undeclared": ("E-UNDEF", r"edge references undeclared node .*"),
+    "duplicate-edge": ("E-DUP", r"duplicate edge .*"),
+    "unit": ("E-UNIT", r"decision .* compared in both .*"),
+}
+_DIAGNOSTIC = re.compile(r"p\.tasc:\d+:\d+: error\[([\w-]+)\]: (.*)", re.S)
 
 
 _LOOP = (
@@ -204,3 +319,18 @@ def test_compile_characterization():
     outcomes = [json.loads(line)[1] for line in compile_lines()]
     assert {o[0] for o in outcomes if isinstance(o, list)} == {"InescapableCycle"}
     assert _digest(compile_lines()) == PINNED["compile"]
+
+
+def test_parse_errors_characterization():
+    lines = list(parse_error_lines())
+    fired = Counter()
+    for line in lines:
+        for rendered in json.loads(line)[1]["diagnostics"]:
+            code, message = _DIAGNOSTIC.fullmatch(rendered).groups()
+            [site] = [
+                site for site, (c, pattern) in _SITES.items()
+                if c == code and re.fullmatch(pattern, message, re.S)
+            ]
+            fired[site] += 1
+    assert set(fired) == set(_SITES)
+    assert _digest(lines) == PINNED["parse_errors"]
