@@ -16,6 +16,7 @@ import stat
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from tasc import conformance, dsl, ingest, render, synthesis, validator
 from tasc.model import CaremapSet, ModelError, PathExplosion, enumerate_paths, resolve_refs
@@ -264,15 +265,19 @@ def cmd_synth_check(args) -> int:
     return EXIT_FINDINGS if report.max_delta > args.tolerance else EXIT_OK
 
 
-def _count(text: str) -> int:
-    """argparse type of -n/--count: an integer >= 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return n
+def _at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer >= low (-n/--count >= 0, --workers >= 1)."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return n
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", required=True, metavar="ID")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--fail-undetermined", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     p.set_defaults(func=cmd_conform)
 
     p = sub.add_parser("ingest", help="derive a transition model from contingency CSV")
@@ -323,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="FILE")
     p.add_argument("--model", required=True, metavar="MODEL.json")
     p.add_argument("--entry", required=True, metavar="ID")
-    p.add_argument("-n", "--count", type=_count, required=True)
+    p.add_argument("-n", "--count", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, metavar="JSONL")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("synth-check", help="compare empirical branch frequencies to the model")
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, metavar="MODEL.json")
     p.add_argument("--entry", required=True, metavar="ID")
     p.add_argument("--traces", metavar="JSONL")
-    p.add_argument("-n", "--count", type=_count)
+    p.add_argument("-n", "--count", type=_at_least(0))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=0.02)
     p.add_argument("--format", choices=["text", "json"], default="text")

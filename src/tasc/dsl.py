@@ -508,7 +508,10 @@ class Parser:
                     self._error("E-SYNTAX", "duration needs a unit word", unit_tok)
                     raise _Resync()
                 self._next()
-                duration = Duration(float(num_tok.text), unit_tok.text)
+                try:
+                    duration = Duration(float(num_tok.text), unit_tok.text)
+                except ModelError as e:  # a negative value
+                    self._error("E-MODEL", str(e), num_tok)
             elif self._at_word("note"):
                 self._next()
                 self._expect(":")

@@ -291,10 +291,15 @@ def _record_line(trace_id, kind):
         ([("a", "label"), ("b", "noref")], _LABEL_MESSAGE),
         ([("z", "arity"), ("a", "unit")], _UNIT_MESSAGE),
         ([("a", "arity"), ("z", "unit")], IndexError),
+        # equal records replay once, charged to their lowest id, not to their first line
+        ([("z", "arity"), ("b", "unit"), ("a", "arity")], IndexError),
+        ([("z", "unit"), ("a", "arity"), ("y", "unit"), ("b", "unit")], IndexError),
+        ([("y", "arity"), ("a", "arity"), ("b", "unit"), ("c", "ok")], IndexError),
     ],
     ids=["unit-mismatch", "ambiguous-label", "labels-before-replay", "load-before-replay",
          "load-before-labels", "load-error-then-replay", "load-error-then-labels",
-         "replay-in-id-order", "replay-in-id-order-crash"],
+         "replay-in-id-order", "replay-in-id-order-crash", "repeated-crash-lowest-id",
+         "repeated-unit-after-crash", "repeated-crash-across-chunks"],
 )
 def test_conform_record_error_same_for_any_workers(records, outcome, tmp_path, capsys):
     # The records land in different chunks when --workers 2; the error reported is the one
@@ -549,6 +554,31 @@ def test_negative_count_is_usage_error(command, model_path, tmp_path, capsys):
             "-n", "-5", "--seed", "0", *extra)
     assert exc.value.code == EXIT_USAGE
     assert "argument -n/--count: expected an integer >= 0, got '-5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_conform_workers_below_one_is_usage_error(workers, tmp_path, capsys):
+    traces = tmp_path / "t.jsonl"
+    traces.write_text("", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        run("conform", LABOUR, "--traces", str(traces), "--entry", "labour_birth",
+            "--workers", workers)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --workers: expected an integer >= 1, got '{workers}'" in captured.err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_synth_workers_below_one_is_usage_error(workers, model_path, tmp_path, capsys):
+    out = tmp_path / "o.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        run("synth", LABOUR, "--model", model_path, "--entry", "labour_birth",
+            "-n", "5", "--seed", "0", "--out", str(out), "--workers", workers)
+    assert exc.value.code == EXIT_USAGE
+    message = f"argument --workers: expected an integer >= 1, got '{workers}'"
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

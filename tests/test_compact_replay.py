@@ -2,8 +2,9 @@
 
 These tests hold it to the public dataclass path: the same load errors in the
 same order, the same tallies as summed replay() and replay_with_edges results,
-no event dataclass built on the way, and replay state hashing that does not
-grow with nesting depth.
+also when records repeat and replay once per distinct event sequence, no event
+dataclass built on the way, and replay state hashing that does not grow with
+nesting depth.
 """
 from __future__ import annotations
 
@@ -131,36 +132,102 @@ def _workload_inputs(name, tmp_path):
     return cmset, wl.entry, model, {"wide": 12, "loops": 8}[name]
 
 
-@pytest.mark.parametrize("name", ["cohort", "wide", "loops"])
-def test_batch_tally_equals_summed_public_replays(name, tmp_path):
-    cmset, entry, model, n = _workload_inputs(name, tmp_path)
-    stm = synthesis.compile_stm(cmset, entry, model)
-    text = _synth_lines(stm, entry, n, 5)
-
+def _assert_tally_equals_summed_replays(cmset, entry, text):
+    """conform_text's summary, for workers 1 and 2, equals the per-trace public replays
+    summed; returns the (events, status) count of those replays."""
     traces, errors = load_traces(text)
-    assert not errors and len(traces) == 2 * n
+    assert not errors
     statuses: Counter = Counter()
     divergence: Counter = Counter()
     edge_counts: Counter = Counter()
+    groups: Counter = Counter()
     for trace in traces:
         report, edges = replay_with_edges(cmset, entry, trace)
         assert replay(cmset, entry, trace) == report
         statuses[report.status] += 1
         edge_counts.update(edges)
+        groups[trace.events, report.status] += 1
         if report.status != "Conformant" and report.divergence_node is not None:
             divergence[report.divergence_node] += 1
-    assert statuses["Conformant"] >= n  # every unmutated trace conforms
-    assert statuses["Conformant"] < 2 * n  # and some mutation shows
     top = tuple(sorted(divergence.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_DIVERGENCE_POINTS])
 
     for workers in (1, 2):
         summary = conform_text(cmset, entry, text, workers=workers)
         assert (summary.n, summary.conformant, summary.non_conformant, summary.undetermined) == (
-            2 * n, statuses["Conformant"], statuses["NonConformant"], statuses["Undetermined"]
+            len(traces), statuses["Conformant"], statuses["NonConformant"],
+            statuses["Undetermined"],
         )
         assert summary.top_divergence_points == top
         assert summary.edge_counts == edge_counts
         assert summary.load_errors == ()
+    return groups
+
+
+@pytest.mark.parametrize("name", ["cohort", "wide", "loops"])
+def test_batch_tally_equals_summed_public_replays(name, tmp_path):
+    cmset, entry, model, n = _workload_inputs(name, tmp_path)
+    stm = synthesis.compile_stm(cmset, entry, model)
+    text = _synth_lines(stm, entry, n, 5)
+    statuses = Counter()
+    for (_, status), count in _assert_tally_equals_summed_replays(cmset, entry, text).items():
+        statuses[status] += count
+    assert sum(statuses.values()) == 2 * n
+    assert statuses["Conformant"] >= n  # every unmutated trace conforms
+    assert statuses["Conformant"] < 2 * n  # and some mutation shows
+
+
+@pytest.mark.parametrize("name", ["cohort", "wide", "loops"])
+def test_batch_tally_with_repeated_mutations(name, tmp_path):
+    # Each mutated trace appears three times, under new ids in both halves of the
+    # input, so non-conformant and undetermined sequences replay once for several records.
+    cmset, entry, model, n = _workload_inputs(name, tmp_path)
+    stm = synthesis.compile_stm(cmset, entry, model)
+    lines = _synth_lines(stm, entry, n, 5).splitlines()
+    repeats = []
+    for line in lines[1:]:
+        record = json.loads(line)
+        if "~" in record["trace_id"]:
+            for k in (1, 2):
+                repeats.append(json.dumps({**record, "trace_id": f"{record['trace_id']}#{k}"}))
+    text = "\n".join([lines[0], *repeats[::2], *lines[1:], *repeats[1::2]]) + "\n"
+    groups = _assert_tally_equals_summed_replays(cmset, entry, text)
+    repeated = {status for (_, status), count in groups.items() if count > 1}
+    assert "NonConformant" in repeated
+    if name != "loops":  # no mutation of the loops traces leaves a decision undetermined
+        assert "Undetermined" in repeated
+
+
+def test_each_distinct_trace_replays_once_per_chunk(monkeypatch, labour_set):
+    # 30 records holding 3 distinct event sequences: conformant, undetermined at
+    # the onset decision, and an unexpected first activity
+    sequences = [
+        [{"type": "activity", "ref": "triage"},
+         {"type": "obs", "var": "onset_type", "value": "spontaneous"},
+         {"type": "activity", "ref": "spont"},
+         {"type": "obs", "var": "mode", "value": "vaginal"},
+         {"type": "activity", "ref": "vaginal"},
+         {"type": "activity", "ref": "postnatal"}],
+        [{"type": "activity", "ref": "triage"}, {"type": "activity", "ref": "spont"}],
+        [{"type": "activity", "ref": "postnatal"}],
+    ]
+    ids = random.Random(0).sample(range(30), 30)
+    text = "".join(
+        json.dumps({"trace_id": f"t{i:02d}", "events": sequences[i % 3]}) + "\n" for i in ids
+    )
+    replays = []
+    replay_record = conformance._replay_record
+
+    def counted(cmset, entry, record):
+        replays.append(record[0])
+        return replay_record(cmset, entry, record)
+
+    monkeypatch.setattr(conformance, "_replay_record", counted)
+    summary = conform_text(labour_set, "labour_birth", text, workers=1)
+    assert replays == ["t00", "t01", "t02"]  # each sequence as its lowest trace id
+    assert (summary.n, summary.conformant, summary.non_conformant, summary.undetermined) == (
+        30, 10, 10, 10
+    )
+    assert summary.top_divergence_points == (("onset", 10), ("triage", 10))
 
 
 def test_batch_path_builds_no_event_objects(monkeypatch):

@@ -22,7 +22,7 @@ from tasc.conformance import (
     trace_from_json,
     trace_to_json,
 )
-from tasc.model import TERMINAL_KINDS, enumerate_paths
+from tasc.model import TERMINAL_KINDS, UnknownNode, enumerate_paths
 
 
 def T(trace_id, *events):
@@ -227,6 +227,55 @@ def test_nested_activity_call_semantics():
     partial = replay(cmset, "outer", T("t", ActivityDone("n")))
     assert partial.status == "NonConformant"
     assert partial.variance_kind == "IncompleteTrace"
+
+
+# The CLI rejects dangling references at load (model.resolve_refs); the library
+# replay() takes a set as parsed and raises only when a walk reaches one.
+
+_LINKED = 'caremap "a" { entry s; exit e; activity x "X"; s -> x; x -> e; }\n'
+
+
+@pytest.mark.parametrize(
+    "text, error, args",
+    [
+        (_LINKED + "link a.e -> ghost.s;\n", KeyError, ("no caremap 'ghost' in set",)),
+        (_LINKED + 'caremap "b" { entry s; exit e; s -> e; }\nlink a.e -> b.ghost;\n',
+         UnknownNode, ("caremap 'b' has no node 'ghost'",)),
+    ],
+    ids=["missing-map", "missing-node"],
+)
+def test_dangling_link_raises_when_followed(text, error, args):
+    cmset = dsl.parse_or_raise(text)
+    assert replay(cmset, "a", T("t", ActivityDone("x"))).status == "Conformant"  # link not taken
+    with pytest.raises(error) as exc:
+        replay(cmset, "a", T("t", ActivityDone("x"), ActivityDone("y")))
+    assert type(exc.value) is error and exc.value.args == args
+
+
+_NESTING = (
+    'caremap "a" {{ entry s; exit e; activity x "X"; {} "N" ref {}; s -> x; x -> n; n -> e; }}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "text, reach, error, args",
+    [
+        (_NESTING.format("nested activity n", "ghost"), ("x", "n"),
+         KeyError, ("no caremap 'ghost' in set",)),
+        (_NESTING.format("nested decision n", "ghost"), ("x",),
+         KeyError, ("no caremap 'ghost' in set",)),
+        (_NESTING.format("nested activity n", "b")
+         + 'caremap "b" { entry s; entry s2; exit e; s -> e; s2 -> e; }',
+         ("x", "n"), ValueError, ("nested caremap 'b' must have exactly one entry",)),
+    ],
+    ids=["activity-missing-map", "decision-missing-map", "two-entries"],
+)
+def test_unresolved_nested_ref_raises_when_descended(text, reach, error, args):
+    cmset = dsl.parse_or_raise(text)
+    assert replay(cmset, "a", T("t", ActivityDone("y"))).status == "NonConformant"  # stops at x
+    with pytest.raises(error) as exc:
+        replay(cmset, "a", T("t", *map(ActivityDone, reach)))
+    assert type(exc.value) is error and exc.value.args == args
 
 
 # --- oracle: verdict must agree with path membership ------------------------

@@ -44,6 +44,15 @@ def test_undeclared_node_reference():
     assert diag.span.column >= 1
 
 
+def test_negative_duration_is_parse_error():
+    result = parse('caremap "m" {\n  entry s; exit e;\n  activity a "A" [duration: -5 min];\n'
+                   "  s -> a; a -> e;\n}")
+    assert result.set is None
+    [diag] = result.diagnostics
+    assert (diag.code, diag.message) == ("E-MODEL", "duration must be non-negative, got -5.0")
+    assert (diag.span.line, diag.span.column) == (3, 29)  # the number token
+
+
 @pytest.mark.parametrize(
     "criterion", ["foo(x, 1)", "consecutive_above()"], ids=["unregistered", "no-args"]
 )
