@@ -227,24 +227,26 @@ def _synth_text(stm, count: int, seed: int, workers: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_synth(args) -> int:
+def _load_stm(args) -> synthesis.STM:
     cmset = _load_entry_set(args)
     model = synthesis.model_from_json(_read_input(args.model))
-    stm = synthesis.compile_stm(cmset, args.entry, model)
+    return synthesis.compile_stm(cmset, args.entry, model)
+
+
+def cmd_synth(args) -> int:
+    stm = _load_stm(args)
     _write_atomic(args.out, _synth_text(stm, args.count, args.seed, args.workers))
     return EXIT_OK
 
 
 def cmd_synth_check(args) -> int:
-    cmset = _load_entry_set(args)
-    model = synthesis.model_from_json(_read_input(args.model))
-    stm = synthesis.compile_stm(cmset, args.entry, model)
+    stm = _load_stm(args)
     if not args.traces and args.count is None:
         print("synth-check needs --traces or -n/--seed", file=sys.stderr)
         return EXIT_USAGE
     # -n replays exactly what synth -n --seed would write, as --traces does
     summary = conformance.conform_text(
-        cmset,
+        stm.cmset,
         args.entry,
         _read_input(args.traces) if args.traces else _synth_text(stm, args.count, args.seed, 1),
     )
@@ -363,20 +365,9 @@ def main(argv=None) -> int:
     except CliUsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
-    except CliIOError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_IO
-    except dsl.ParseFailure as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_IO
-    except (
-        ingest.IngestError,
-        synthesis.CompileError,
-        synthesis.StepCapExceeded,
-        conformance.AmbiguousLabel,
-        conformance.TraceFormatError,
-        ValueError,
-    ) as e:
+    # ValueError covers dsl.ParseFailure, ingest.IngestError, synthesis.CompileError,
+    # conformance.AmbiguousLabel and conformance.TraceFormatError
+    except (CliIOError, ValueError, synthesis.StepCapExceeded) as e:
         print(str(e), file=sys.stderr)
         return EXIT_IO
 

@@ -284,7 +284,11 @@ class Parser:
                         f"expected 'caremap' or 'link', found {t.text or 'end of input'!r}",
                         t,
                     )
+                    # skip to the next top-level statement, so that one stray
+                    # token (say a '}' that closed a caremap early) is one error
                     self._next()
+                    while not (self._peek().kind == "eof" or self._at_word("caremap", "link")):
+                        self._next()
         except _Bail:
             pass
         if any(d.severity is Severity.ERROR for d in self.diagnostics):

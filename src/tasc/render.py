@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tasc.criteria import Otherwise, criterion_text
+from tasc.criteria import Otherwise, criterion_text, quote
 from tasc.model import CaremapSet, Node, NodeKind
 
 _BASE_GLYPHS: dict[NodeKind, dict[str, str]] = {
@@ -44,12 +44,8 @@ COLOR = StyleProfile(monochrome=False)
 PROFILES = {"mono": MONO, "color": COLOR}
 
 
-def _q(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _attr_text(attrs: dict[str, str]) -> str:
-    return "[" + ", ".join(f"{k}={_q(v)}" for k, v in sorted(attrs.items())) + "]"
+    return "[" + ", ".join(f"{k}={quote(v)}" for k, v in sorted(attrs.items())) + "]"
 
 
 def to_dot(cmset: CaremapSet, style: StyleProfile = MONO) -> str:
@@ -57,12 +53,12 @@ def to_dot(cmset: CaremapSet, style: StyleProfile = MONO) -> str:
     lines = ["digraph caremaps {", "  rankdir=TB;", '  node [fontname="Helvetica"];']
     for cm in cmset.caremaps:
         lines.append(f"  subgraph cluster_{cm.id} {{")
-        lines.append(f"    label={_q(cm.title or cm.id)};")
+        lines.append(f"    label={quote(cm.title or cm.id)};")
         for n in sorted(cm.nodes, key=lambda n: n.id):
             attrs = style.attrs_for(n)
             if n.nested_ref:
                 attrs["tooltip"] = f"nested caremap: {n.nested_ref}"
-            lines.append(f"    {_q(cm.id + '.' + n.id)} {_attr_text(attrs)};")
+            lines.append(f"    {quote(cm.id + '.' + n.id)} {_attr_text(attrs)};")
         for e in cm.edges:
             attrs: dict[str, str] = {}
             if isinstance(e.criterion, Otherwise):
@@ -73,13 +69,13 @@ def to_dot(cmset: CaremapSet, style: StyleProfile = MONO) -> str:
                 attrs["tooltip"] = e.annotation
             tail = f" {_attr_text(attrs)}" if attrs else ""
             lines.append(
-                f"    {_q(cm.id + '.' + e.from_id)} -> {_q(cm.id + '.' + e.to_id)}{tail};"
+                f"    {quote(cm.id + '.' + e.from_id)} -> {quote(cm.id + '.' + e.to_id)}{tail};"
             )
         lines.append("  }")
     for link in cmset.links:
         lines.append(
-            f"  {_q(link.from_caremap + '.' + link.from_exit_node)} -> "
-            f"{_q(link.to_caremap + '.' + link.to_entry_node)} [style=\"dashed\"];"
+            f"  {quote(link.from_caremap + '.' + link.from_exit_node)} -> "
+            f"{quote(link.to_caremap + '.' + link.to_entry_node)} [style=\"dashed\"];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, groupby
 from math import isfinite
 from typing import Iterator, Optional, Union
 
@@ -28,7 +28,7 @@ from tasc.model import (
     NodeKind,
     TERMINAL_KINDS,
     reachable,
-    successors,
+    successors,  # unused here; perfbench's traced run and its hook test wrap it by name
 )
 
 RNG_ALGORITHM = "sha256-mt19937"  # per-trace MT19937 seeded from sha256(seed:index)
@@ -136,9 +136,19 @@ class STM:
     entry_caremap: str
     model: TransitionModel
     provenance: tuple[tuple[str, str], ...]  # caremap_sha, model_sha, seed, rng
+    # generation's walk table: the entry's replay plan node, and the _NodeModel
+    # of every plan node of each caremap the entry reaches (see _build_stm)
+    start: object = field(compare=False, repr=False)
+    nodes: dict = field(compare=False, repr=False)
 
     def provenance_dict(self) -> dict:
         return dict(self.provenance)
+
+    def __reduce__(self):
+        # Plan nodes point at their successors, so pickling one recurses once
+        # per node along the longest path and fails on a chain of a few
+        # hundred nodes; an unpickled STM builds its walk table again.
+        return (_build_stm, (self.cmset, self.entry_caremap, self.model, self.provenance))
 
 
 # --- model JSON -------------------------------------------------------------
@@ -236,23 +246,31 @@ def model_from_json(text: str) -> TransitionModel:
 # --- compilation ------------------------------------------------------------
 
 
-def _branching_nodes(cm: Caremap) -> list[str]:
-    return [n.id for n in cm.nodes if len(successors(cm, n.id)) >= 2]
-
-
-def _check_sampler_decidable(
-    cm: Caremap, node_id: str, mode: VariableSampler, state: str
-) -> set[str]:
-    """Check that every sampled value decides one branch; return the out-edges no
-    draw takes: a categorical's edges that no value of positive probability selects."""
-    node = cm.node(node_id)
+def _check_branching(node, mode: Optional[BranchMode]) -> set[str]:
+    """Check the annotation of a plan node with two or more out-edges; return the
+    out-edges no draw takes: a categorical sampler's edges that no value of
+    positive probability selects."""
+    state = f"{node.cm.id}.{node.id}"
+    if mode is None:
+        raise MissingAnnotation(state)
+    if isinstance(mode, EdgeProbabilities):
+        out_ids = sorted(node.succ_ids)
+        probs_ids = sorted(e for e, _ in mode.probs)
+        if out_ids != probs_ids:
+            raise CompileError(
+                f"{state}: probability map covers {probs_ids}, out-edges are {out_ids}"
+            )
+        if any(p < 0 for _, p in mode.probs):
+            raise CompileError(f"{state}: negative probability")
+        total = sum(p for _, p in mode.probs)
+        if abs(total - 1.0) > 1e-9:
+            raise ProbabilityMass(state, total)
+        return set()
     if node.kind not in DECISION_KINDS:
         raise CompileError(f"{state}: variable samplers are only allowed on decision nodes")
-    succ = successors(cm, node_id)
-    branches = [(e.id, e.criterion) for e, _ in succ]
-    if any(c is None for _, c in branches):
+    branches = node.branches  # None unless every out-edge has a criterion
+    if branches is None:
         raise CompileError(f"{state}: sampler decision has out-edges without criteria")
-    has_otherwise = any(isinstance(c, C.Otherwise) for _, c in branches)
     if isinstance(mode.dist, Categorical):
         total = sum(mode.dist.probs)
         if abs(total - 1.0) > 1e-9:
@@ -267,8 +285,8 @@ def _check_sampler_decidable(
                 )
             if p > 0:
                 taken.add(selection.edge_id)
-        return {edge for edge, _ in branches} - taken
-    if not has_otherwise:
+        return set(node.succ_ids) - taken
+    if not any(isinstance(c, C.Otherwise) for _, c in branches):
         raise CompileError(
             f"{state}: continuous sampler needs an otherwise branch to stay decidable"
         )
@@ -276,7 +294,11 @@ def _check_sampler_decidable(
 
 
 def compile_stm(cmset: CaremapSet, entry_caremap: str, model: TransitionModel) -> STM:
-    """Check coverage, probability mass, and escapability; freeze provenance."""
+    """Check coverage, probability mass, and escapability; freeze provenance.
+
+    The checks read the STM's walk table, so they cover exactly the caremaps
+    generation can enter: caremaps in id order, nodes in canonical order.
+    """
     from tasc.validator import has_errors, validate
 
     diagnostics = validate(cmset)
@@ -287,56 +309,25 @@ def compile_stm(cmset: CaremapSet, entry_caremap: str, model: TransitionModel) -
     if not cmset.has_caremap(entry_caremap):
         raise CompileError(f"no caremap {entry_caremap!r} in set")
 
-    reachable_maps = _reachable_caremaps(cmset, entry_caremap)
-    for cm_id in sorted(reachable_maps):
-        cm = cmset.caremap(cm_id)
-        never_sampled: set[str] = set()  # sampler decisions' out-edges no draw takes
-        for node_id in _branching_nodes(cm):
-            state = f"{cm.id}.{node_id}"
-            mode = model.mode_for(cm.id, node_id)
-            if mode is None:
-                raise MissingAnnotation(state)
-            if isinstance(mode, EdgeProbabilities):
-                out_ids = sorted(e.id for e, _ in successors(cm, node_id))
-                probs_ids = sorted(e for e, _ in mode.probs)
-                if out_ids != probs_ids:
-                    raise CompileError(
-                        f"{state}: probability map covers {probs_ids}, out-edges are {out_ids}"
-                    )
-                if any(p < 0 for _, p in mode.probs):
-                    raise CompileError(f"{state}: negative probability")
-                total = sum(p for _, p in mode.probs)
-                if abs(total - 1.0) > 1e-9:
-                    raise ProbabilityMass(state, total)
-            else:
-                never_sampled |= _check_sampler_decidable(cm, node_id, mode, state)
-        _check_escapable(cm, model, never_sampled)
-        _check_links(cmset, cm)
-
+    # before the table, so serialize's temporaries are freed before it is built
     caremap_sha = hashlib.sha256(serialize(cmset).encode()).hexdigest()
     model_sha = hashlib.sha256(model_to_json(model).encode()).hexdigest()
-    return STM(
-        cmset,
-        entry_caremap,
-        model,
-        (
-            ("caremap_sha", caremap_sha),
-            ("model_sha", model_sha),
-            ("seed", str(model.master_seed)),
-            ("rng", RNG_ALGORITHM),
-        ),
+    provenance = (
+        ("caremap_sha", caremap_sha),
+        ("model_sha", model_sha),
+        ("seed", str(model.master_seed)),
+        ("rng", RNG_ALGORITHM),
     )
-
-
-def _reachable_caremaps(cmset: CaremapSet, entry: str) -> set[str]:
-    # validate has already rejected nested refs and links to absent caremaps
-    def called(cm_id: str):
-        for n in cmset.caremap(cm_id).nodes:
-            if n.nested_ref:
-                yield n.nested_ref
-            yield from (link.to_caremap for link in cmset.links_from(cm_id, n.id))
-
-    return reachable([entry], called)
+    stm = _build_stm(cmset, entry_caremap, model, provenance)
+    for cm_id, nodes in groupby(stm.nodes.items(), key=lambda item: item[0].cm.id):
+        never_sampled: set[str] = set()  # sampler decisions' out-edges no draw takes
+        for node, m in nodes:
+            if len(node.succ_ids) >= 2:
+                never_sampled |= _check_branching(node, m.mode)
+        cm = cmset.caremap(cm_id)
+        _check_escapable(cm, model, never_sampled)
+        _check_links(cmset, cm)
+    return stm
 
 
 def _check_escapable(cm: Caremap, model: TransitionModel, never_sampled: set[str]) -> None:
@@ -370,10 +361,11 @@ def _check_links(cmset: CaremapSet, cm: Caremap) -> None:
 #
 # Generation walks the replay plan's _Nodes (conformance._plan), so it shares
 # replay's structure: kinds, out-edges by edge id, criteria branches, nested
-# entries and links. What depends on the model lives in a per-STM table of
-# _NodeModels, built once per STM per process. The walker writes each event as
-# its JSON text, from fragments encoded when the table is built, so a line is
-# joined from strings, with no event dataclass or dict in between.
+# entries and links. What depends on the model lives in the STM's walk table
+# of _NodeModels, which compile_stm builds and checks once per compile. The
+# walker writes each event as its JSON text, from fragments encoded when the
+# table is built, so a line is joined from strings, with no event dataclass
+# or dict in between.
 
 
 def _trace_rng(seed: int, index: int) -> random.Random:
@@ -422,10 +414,11 @@ class _Draw:
 class _NodeModel:
     """The model-dependent fields of one plan node, for one STM."""
 
-    __slots__ = ("emitters", "done", "edges", "cum", "sampler")
+    __slots__ = ("mode", "emitters", "done", "edges", "cum", "sampler")
 
     def __init__(self, node, model: TransitionModel):
         cm_id = node.cm.id
+        self.mode = mode = model.mode_for(cm_id, node.id)  # checked by compile_stm
         self.emitters: tuple[_Draw, ...] = ()
         self.done = ""  # JSON of its activity event after the "at" field
         if node.kind in ACTIVITY_KINDS:
@@ -437,7 +430,6 @@ class _NodeModel:
         self.edges: Optional[list] = None
         self.cum: Optional[list[float]] = None
         self.sampler: Optional[_Draw] = None
-        mode = model.mode_for(cm_id, node.id)
         if isinstance(mode, EdgeProbabilities):
             self.edges = [
                 (edge, _branch_json(node.id, edge) if node.kind in DECISION_KINDS else None)
@@ -452,26 +444,22 @@ def _branch_json(decision: str, edge: str) -> str:
     return f'{{"decision": {_encode(decision)}, "edge": {_encode(edge)}, "type": "branch"}}'
 
 
-class _Generator:
-    """The plan of an STM's caremap set, its entry node and its per-node model table."""
-
-    def __init__(self, stm: STM):
-        self.stm = stm
-        plan = _plan(stm.cmset)
-        self.start = plan.start(stm.entry_caremap)
-        self.models = {node: _NodeModel(node, stm.model) for node in plan.nodes.values()}
-
-
-_generator_cache: list = [None]
-
-
-def _generator(stm: STM) -> _Generator:
-    # One slot, like the replay plan's: a run generates every trace from one
-    # STM, and the slot holds the STM, so its id cannot be reused while cached.
-    gen = _generator_cache[0]
-    if gen is None or gen.stm is not stm:
-        gen = _generator_cache[0] = _Generator(stm)
-    return gen
+def _build_stm(
+    cmset: CaremapSet, entry_caremap: str, model: TransitionModel, provenance: tuple
+) -> STM:
+    """The STM with its walk table: a _NodeModel for every plan node of each
+    caremap that the entry's plan node reaches through out-edges, nested
+    entries and links, in plan order (caremaps by id, nodes canonical)."""
+    plan = _plan(cmset)
+    start = plan.start(entry_caremap)
+    maps = {
+        node.cm.id
+        for node in reachable(
+            [start], lambda node: (t for _, t in chain(node.succ, node.child or (), node.links))
+        )
+    }
+    nodes = {node: _NodeModel(node, model) for node in plan.nodes.values() if node.cm.id in maps}
+    return STM(cmset, entry_caremap, model, provenance, start, nodes)
 
 
 class _Var:
@@ -503,14 +491,13 @@ def _observe(draw: _Draw, rng, at: int, bound: dict, out: list) -> None:
 
 def _walk(stm: STM, seed: int, index: int, step_cap: int) -> list[str]:
     """The JSON texts of the events of trace `index`."""
-    gen = _generator(stm)
-    models = gen.models
+    models = stm.nodes
     rng = _trace_rng(seed, index)
     out: list = []
     bound: dict[str, _Var] = {}  # the criteria bindings, updated in place
     at = 0
     steps = 0
-    node = gen.start
+    node = stm.start
     stack: list = []  # nested nodes to resume at
     while True:
         steps += 1
@@ -550,18 +537,16 @@ def _walk(stm: STM, seed: int, index: int, step_cap: int) -> list[str]:
         if len(node.succ) == 1:
             node = node.succ[0][1]
             continue
-        m = models[node]
-        if m.edges is not None:
+        m = models[node]  # compile checked that a branching node has a mode
+        if m.sampler is None:
             edge, branch = rng.choices(m.edges, cum_weights=m.cum)[0]
             if branch is not None:  # a decision's branch event
                 out.append(branch)
-        elif m.sampler is not None:
+        else:
             _observe(m.sampler, rng, at, bound, out)
             selection = C.select_branch(node.branches, bound)
             assert isinstance(selection, C.Chosen), "compile guarantees decidability"
             edge = selection.edge_id
-        else:
-            raise MissingAnnotation(f"{node.cm.id}.{node.id}")
         node = node.by_edge[edge][0][1]
     return out
 

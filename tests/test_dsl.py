@@ -97,6 +97,26 @@ def test_error_cap():
     assert len(result.diagnostics) == dsl.MAX_DIAGNOSTICS
 
 
+def test_stray_brace_gives_one_diagnostic():
+    # the '}' after `entry s;` closes the caremap; the rest is skipped to the end
+    result = parse('caremap "m" { entry s; } exit e; activity a "A"; s -> a; a -> e; }')
+    assert result.set is None
+    [diag] = result.diagnostics
+    assert diag.message == "expected 'caremap' or 'link', found 'exit'"
+    assert (diag.span.line, diag.span.column) == (1, 26)
+
+
+def test_stray_token_resyncs_at_next_statement():
+    # parsing resumes at the next caremap or link, whose own errors still show
+    result = parse('x y z; caremap "m" { entry s; exit e; s -> ghost; } ; ; link a.b -> ;')
+    assert [d.message for d in result.diagnostics] == [
+        "expected 'caremap' or 'link', found 'x'",
+        "edge references undeclared node 'ghost'",
+        "expected 'caremap' or 'link', found ';'",
+        "expected caremap id, found ';'",
+    ]
+
+
 def test_duplicate_node_id():
     result = parse('caremap "m" { entry s; exit e; activity s "A"; s -> e; }')
     assert result.set is None

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import pickle
+import sys
+
 import pytest
 
 from tasc import dsl, ingest
@@ -20,11 +23,17 @@ from tasc.synthesis import (
     compile_stm,
     frequency_report,
     generate,
+    generate_line,
     generate_one,
     model_from_json,
     model_to_json,
     provenance_header,
 )
+
+from conftest import ROOT
+
+sys.path.append(str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (the wide benchmark map)
 
 LINEAR = 'caremap "m" { entry s; exit e; activity a "A"; s -> a; a -> e; }'
 
@@ -295,3 +304,39 @@ def test_sampled_value_without_unit_keeps_the_emitted_unit():
     stm = compile_stm(cmset, "m", model)
     with pytest.raises(UnitMismatch, match="binding has 'mg/dL'"):
         generate_one(stm, seed=0, index=0)
+
+
+def test_pickled_stm_generates_the_same_lines(tmp_path):
+    # a worker process receives the STM pickled; wide nests 8 deep and has links
+    wl = workloads.build_wide(ROOT, tmp_path, 3)
+    cmset = dsl.parse_or_raise(wl.caremaps.read_text(encoding="utf-8"))
+    stm = compile_stm(cmset, wl.entry, model_from_json(wl.model.read_text(encoding="utf-8")))
+    copy = pickle.loads(pickle.dumps(stm))
+    assert copy == stm
+    assert [generate_line(copy, 5, i) for i in range(20)] == [
+        generate_line(stm, 5, i) for i in range(20)
+    ]
+
+
+def test_stm_of_a_long_chain_pickles():
+    # plan nodes point at their successors; pickling them would recurse per node
+    n = 400
+    cmset = dsl.parse_or_raise(
+        'caremap "m" { entry s; exit e; '
+        + "".join(f'activity a{i} "A"; ' for i in range(n))
+        + "s -> a0; " + "".join(f"a{i} -> a{i + 1}; " for i in range(n - 1))
+        + f"a{n - 1} -> e; }}"
+    )
+    stm = compile_stm(cmset, "m", TransitionModel())
+    assert generate_line(pickle.loads(pickle.dumps(stm)), 0, 0) == generate_line(stm, 0, 0)
+
+
+def test_only_maps_the_entry_reaches_are_checked():
+    cmset = dsl.parse_or_raise(
+        LINEAR + ' caremap "lone" { entry s; exit e1; exit e2; decision d "Pick?"; '
+        "s -> d; d -> e1 when x > 0; d -> e2 otherwise; }"
+    )
+    compile_stm(cmset, "m", TransitionModel())
+    with pytest.raises(MissingAnnotation, match="lone.d") as caught:
+        compile_stm(cmset, "lone", TransitionModel())
+    assert caught.value.state == "lone.d"
