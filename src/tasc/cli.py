@@ -4,19 +4,21 @@ Exit status contract: 0 success; 1 validation/conformance findings;
 2 usage error; 3 I/O or input-format error, including a caremap set whose
 links or nested refs name an absent caremap or node (conform, synth,
 synth-check), a model under which a trace exceeds the generation step
-cap (synth, synth-check -n), and a stdout whose reader closed before the
-output was written (a broken pipe, which prints nothing more).
+cap or reaches a sampled decision it cannot decide (synth, synth-check -n),
+and a stdout whose reader closed before the output was written (a broken
+pipe, which prints nothing more).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import stat
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Union
 
 from tasc import conformance, dsl, ingest, render, synthesis, validator
 from tasc.model import CaremapSet, ModelError, PathExplosion, enumerate_paths, resolve_refs
@@ -25,6 +27,11 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# Most traces in one task of a synth pool. A task's lines come back as one
+# string, which is written before the next one is taken, so the output synth
+# holds grows with this and the pool's size, not with -n.
+SYNTH_CHUNK = 1000
 
 
 class CliIOError(Exception):
@@ -46,11 +53,20 @@ def _read_input(path: str) -> str:
         raise CliIOError(f"{path} is not valid UTF-8: {e}") from e
 
 
-def _write_atomic(path: str, content: str) -> None:
+def _write_atomic(path: str, content: Union[str, Iterable[str]]) -> None:
+    """Write content, a str or its pieces in order, to path; "-" is stdout.
+
+    A file gets each piece as it comes, in a temp file beside it that replaces
+    path after the last piece. On any error, the temp file is removed and path
+    keeps its bytes. Stdout keeps the pieces written before an error.
+    """
+    pieces = [content] if isinstance(content, str) else content
     if path == "-":
-        sys.stdout.write(content)
+        for piece in pieces:
+            sys.stdout.write(piece)
         return
     target = Path(path)
+    tmp = None
     try:
         try:
             mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -59,12 +75,18 @@ def _write_atomic(path: str, content: str) -> None:
             os.umask(umask)
             mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name + ".")
-        os.fchmod(fd, mode)  # mkstemp creates 0600; keep the target's (or umask's) mode
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(content)
+            os.fchmod(fd, mode)  # mkstemp creates 0600; keep the target's (or umask's) mode
+            for piece in pieces:
+                f.write(piece)
         os.replace(tmp, path)
-    except OSError as e:
-        raise CliIOError(f"cannot write {path}: {e}") from e
+    except BaseException as e:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise CliIOError(f"cannot write {path}: {e}") from e
+        raise
 
 
 def _use_color() -> bool:
@@ -215,16 +237,41 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _synth_chunk(stm, seed, indices):
-    return [synthesis.generate_line(stm, seed, i) for i in indices]
+# (stm, seed) in a synth pool worker, set once by the pool's initializer, so
+# the STM crosses to each worker once rather than with every chunk
+_worker_job: tuple = ()
 
 
-def _synth_text(stm, count: int, seed: int, workers: int) -> str:
-    """The JSONL text synth writes: the provenance header, then one line per trace."""
-    lines = [synthesis.provenance_header(stm, seed)]
-    for chunk in conformance.map_chunks(_synth_chunk, range(count), workers, stm, seed):
-        lines.extend(chunk)
-    return "\n".join(lines) + "\n"
+def _start_synth_worker(stm: synthesis.STM, seed: int) -> None:
+    global _worker_job
+    _worker_job = (stm, seed)
+
+
+def _synth_chunk(indices: range) -> str:
+    stm, seed = _worker_job
+    return "".join(synthesis.generate_line(stm, seed, i) + "\n" for i in indices)
+
+
+def _synth_pieces(stm: synthesis.STM, count: int, seed: int, workers: int) -> Iterator[str]:
+    """The JSONL text synth writes, piece by piece: the provenance header line,
+    then the trace lines.
+
+    One process yields one line per piece. A pool of k = min(workers, count,
+    CPU count) processes yields one piece per chunk of at most SYNTH_CHUNK
+    traces, in order, in at least k chunks; each worker gets the STM once.
+    """
+    yield synthesis.provenance_header(stm, seed) + "\n"
+    k = min(workers, count, os.cpu_count() or 1)
+    if k <= 1:
+        for i in range(count):
+            yield synthesis.generate_line(stm, seed, i) + "\n"
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    size = min(SYNTH_CHUNK, -(-count // k))  # ceil(count / k): at least k chunks
+    chunks = (range(a, min(a + size, count)) for a in range(0, count, size))
+    with ProcessPoolExecutor(k, initializer=_start_synth_worker, initargs=(stm, seed)) as pool:
+        yield from pool.map(_synth_chunk, chunks)
 
 
 def _load_stm(args) -> synthesis.STM:
@@ -235,7 +282,9 @@ def _load_stm(args) -> synthesis.STM:
 
 def cmd_synth(args) -> int:
     stm = _load_stm(args)
-    _write_atomic(args.out, _synth_text(stm, args.count, args.seed, args.workers))
+    # closed here, so a pool is shut down before an error leaves
+    with contextlib.closing(_synth_pieces(stm, args.count, args.seed, args.workers)) as pieces:
+        _write_atomic(args.out, pieces)
     return EXIT_OK
 
 
@@ -248,7 +297,9 @@ def cmd_synth_check(args) -> int:
     summary = conformance.conform_text(
         stm.cmset,
         args.entry,
-        _read_input(args.traces) if args.traces else _synth_text(stm, args.count, args.seed, 1),
+        _read_input(args.traces)
+        if args.traces
+        else "".join(_synth_pieces(stm, args.count, args.seed, 1)),
     )
     report = synthesis.edge_report(stm, summary)
     if args.format == "json":
@@ -366,7 +417,7 @@ def main(argv=None) -> int:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
     # ValueError covers dsl.ParseFailure, ingest.IngestError, synthesis.CompileError,
-    # conformance.AmbiguousLabel and conformance.TraceFormatError
+    # synthesis.UndecidedBranch, conformance.AmbiguousLabel and conformance.TraceFormatError
     except (CliIOError, ValueError, synthesis.StepCapExceeded) as e:
         print(str(e), file=sys.stderr)
         return EXIT_IO

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -139,22 +140,27 @@ OBS_VALUE_TYPES = (int, float, str)
 _EVENT_CLASSES = {"activity": ActivityDone, "obs": Observation, "branch": BranchTaken}
 
 
+def _shared(value):
+    """value, interned if it is a str, so the events of a file share each name."""
+    return sys.intern(value) if type(value) is str else value
+
+
 def _decode_event(d) -> CompactEvent:
     if not isinstance(d, dict):
         raise TraceFormatError(f"event must be an object, got {type(d).__name__}")
     kind = d.get("type")
     try:
         if kind == "activity":
-            return ("activity", str(d["ref"]), d.get("at"))
+            return ("activity", sys.intern(str(d["ref"])), d.get("at"))
         if kind == "obs":
-            event = ("obs", str(d["var"]), d["value"], d.get("unit"), d.get("at"))
-            if not isinstance(event[2], OBS_VALUE_TYPES):
+            var, value = sys.intern(str(d["var"])), d["value"]
+            if not isinstance(value, OBS_VALUE_TYPES):
                 raise TraceFormatError(
-                    f"obs value must be a number, string or boolean, got {type(event[2]).__name__}"
+                    f"obs value must be a number, string or boolean, got {type(value).__name__}"
                 )
-            return event
+            return ("obs", var, _shared(value), _shared(d.get("unit")), d.get("at"))
         if kind == "branch":
-            return ("branch", str(d["decision"]), str(d["edge"]))
+            return ("branch", sys.intern(str(d["decision"])), sys.intern(str(d["edge"])))
     except KeyError as e:
         raise TraceFormatError(f"{kind} event has no {e.args[0]!r}") from None
     raise TraceFormatError(f"unknown event type {kind!r}")

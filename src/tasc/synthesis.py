@@ -6,6 +6,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, groupby
+from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Iterator, Optional, Union
 
@@ -63,6 +64,15 @@ class InescapableCycle(CompileError):
 
 class StepCapExceeded(RuntimeError):
     pass
+
+
+class UndecidedBranch(ValueError):
+    """A sampled decision whose criteria pick no single branch in a generated trace.
+
+    compile_stm checks a categorical sampler's values and that a continuous
+    sampler has an otherwise branch, but a criterion may also read variables
+    that the trace has not bound, or bound so that two branches hold.
+    """
 
 
 @dataclass(frozen=True)
@@ -375,6 +385,8 @@ def _trace_rng(seed: int, index: int) -> random.Random:
 
 def _encode(value) -> str:
     """value as json.dumps(..., sort_keys=True) writes it inside a trace line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if type(value) is float and isfinite(value):
         return float.__repr__(value)
     return json.dumps(value, sort_keys=True)
@@ -545,10 +557,20 @@ def _walk(stm: STM, seed: int, index: int, step_cap: int) -> list[str]:
         else:
             _observe(m.sampler, rng, at, bound, out)
             selection = C.select_branch(node.branches, bound)
-            assert isinstance(selection, C.Chosen), "compile guarantees decidability"
+            if not isinstance(selection, C.Chosen):
+                raise UndecidedBranch(_undecided(index, node, selection))
             edge = selection.edge_id
         node = node.by_edge[edge][0][1]
     return out
+
+
+def _undecided(index: int, node, selection) -> str:
+    state = f"trace {index}: decision {node.cm.id}.{node.id}"
+    if isinstance(selection, C.Undetermined):
+        return f"{state} reads unbound variables {', '.join(selection.missing_vars)}"
+    if isinstance(selection, C.Ambiguous):
+        return f"{state} has more than one branch that holds: {', '.join(selection.edge_ids)}"
+    return f"{state} has no branch that holds"
 
 
 def generate_line(stm: STM, seed: int, index: int, step_cap: int = DEFAULT_STEP_CAP) -> str:

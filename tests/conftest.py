@@ -46,8 +46,10 @@ def inline_pool(monkeypatch):
     requested: list[int] = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             requested.append(max_workers)
+            if initializer is not None:  # this process stands in for every worker
+                initializer(*initargs)
 
         def __enter__(self):
             return self

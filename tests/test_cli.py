@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tasc import dsl
+from tasc import cli, dsl
 from tasc.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from tasc.render import check_dot
 
@@ -438,6 +438,22 @@ def test_synth_workers_byte_identical(model_path, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 13])
+def test_synth_pool_chunk_edges_byte_identical(n, model_path, tmp_path, monkeypatch):
+    # chunks of at most 3 traces, at least 2 of them when n >= 2
+    monkeypatch.setattr(cli, "SYNTH_CHUNK", 3)
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.jsonl"
+        assert run(
+            "synth", LABOUR, "--model", model_path, "--entry", "labour_birth",
+            "-n", str(n), "--seed", "3", "--out", str(out), "--workers", workers,
+        ) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == n + 1
+
+
 def test_synth_workers_capped_at_trace_count(model_path, tmp_path, inline_pool):
     outputs = []
     for workers in ("1", "64"):
@@ -644,13 +660,70 @@ def test_step_cap_exit_three(command, extra, tmp_path, capsys):
     caremaps, model, out = tmp_path / "loop.tasc", tmp_path / "loop.json", tmp_path / "t.jsonl"
     caremaps.write_text(_LOOP_MAP, encoding="utf-8")
     model.write_text(_STEP_CAP_MODEL, encoding="utf-8")
+    out.write_bytes(b"earlier output\n")  # synth keeps it as it is, with no temp file beside it
     if command == "synth":
         extra = [*extra, "--out", str(out)]
     assert run(command, str(caremaps), "--model", str(model), "--entry", "loop",
                "-n", "20", "--seed", "0", *extra) == EXIT_IO
     assert capsys.readouterr() == ("", "trace 15 exceeded 10000 steps; the model likely has a "
                                        "near-inescapable loop\n")
-    assert not out.exists()
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == ["loop.json", "loop.tasc", "t.jsonl"]
+
+
+# the sampled x does not decide a branch whose criterion reads age, which no trace binds
+_UNDECIDED_MAP = ('caremap "m" { entry s; exit e1; exit e2; decision d "D?"; s -> d; '
+                  "d -> e1 when age < 16; d -> e2 otherwise; }\n")
+_UNDECIDED_MODEL = json.dumps({"tasc_model": 1, "nodes": {"m.d": {
+    "mode": "sampler", "var": "x", "dist": {"kind": "normal", "mu": 5, "sigma": 1}}}})
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("synth", ["--workers", "1"]), ("synth", ["--workers", "2"]), ("synth-check", [])],
+    ids=["synth-workers-1", "synth-workers-2", "synth-check"],
+)
+def test_undecided_sampled_branch_exit_three(command, extra, tmp_path, capsys):
+    caremaps, model, out = tmp_path / "m.tasc", tmp_path / "m.json", tmp_path / "t.jsonl"
+    caremaps.write_text(_UNDECIDED_MAP, encoding="utf-8")
+    model.write_text(_UNDECIDED_MODEL, encoding="utf-8")
+    if command == "synth":
+        extra = [*extra, "--out", str(out)]
+    assert run(command, str(caremaps), "--model", str(model), "--entry", "m",
+               "-n", "2", "--seed", "0", *extra) == EXIT_IO
+    assert capsys.readouterr() == ("", "trace 0: decision m.d reads unbound variables age\n")
+    assert sorted(os.listdir(tmp_path)) == ["m.json", "m.tasc"]
+
+
+def test_failed_replace_leaves_no_temp_file(model_path, tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "t.jsonl"
+    assert run("synth", LABOUR, "--model", model_path, "--entry", "labour_birth",
+               "-n", "5", "--seed", "0", "--out", str(out)) == EXIT_IO
+    assert capsys.readouterr() == ("", f"cannot write {out}: [Errno 13] Permission denied\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_synth_peak_memory_is_flat_in_n(model_path, tmp_path):
+    import tracemalloc
+
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            assert run("synth", LABOUR, "--model", model_path, "--entry", "labour_birth",
+                       "-n", str(n), "--seed", "0", "--out", str(tmp_path / "t.jsonl"),
+                       "--workers", "1") == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the first run fills caches that later runs reuse
+    small, large = peak(100), peak(4000)
+    # joining every line before the write made the peak grow by ~1.2 KB a trace
+    assert large < small + 100_000, (small, large)
 
 
 _DANGLING = {
@@ -727,14 +800,15 @@ def _tasc_to_closed_pipe(*argv):
         os.close(write_end)
 
 
-@pytest.mark.parametrize("command", ["conform-text", "conform-json", "synth"])
+@pytest.mark.parametrize("command", ["conform-text", "conform-json", "synth", "synth-workers-2"])
 def test_closed_stdout_exits_three_quietly(command, model_path, tmp_path):
     traces = str(tmp_path / "t.jsonl")
     common = (LABOUR, "--entry", "labour_birth")
     assert run("synth", *common, "--model", model_path, "-n", "50", "--seed", "1",
                "--out", traces) == EXIT_OK
-    if command == "synth":
-        argv = ("synth", *common, "--model", model_path, "-n", "50", "--seed", "1", "--out", "-")
+    if command.startswith("synth"):
+        argv = ("synth", *common, "--model", model_path, "-n", "50", "--seed", "1", "--out", "-",
+                "--workers", "2" if command == "synth-workers-2" else "1")
     else:
         argv = ("conform", *common, "--traces", traces, "--format", command.split("-")[1])
     proc = _tasc_to_closed_pipe(*argv)

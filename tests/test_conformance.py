@@ -338,6 +338,28 @@ def test_load_traces_skips_comments_and_collects_errors():
     assert errors[0].startswith("line 3")
 
 
+def test_decoded_records_share_their_names():
+    events = [
+        {"type": "activity", "ref": "glucose_check"},
+        {"type": "obs", "var": "glucose_level", "value": "high_band", "unit": "mmol/L"},
+        {"type": "branch", "decision": "high_glucose", "edge": "treat_now"},
+    ]
+    # two lines, so the decoder reads each name twice into new strings
+    traces, errors = load_traces("\n".join(
+        json.dumps({"trace_id": trace_id, "events": events}) for trace_id in ("a", "b")))
+    assert errors == []
+    first, second = (t.events for t in traces)
+    assert first == second == (
+        ActivityDone("glucose_check"),
+        Observation("glucose_level", "high_band", "mmol/L"),
+        BranchTaken("high_glucose", "treat_now"),
+    )
+    assert first[0].ref is second[0].ref
+    obs1, obs2 = first[1], second[1]
+    assert obs1.var is obs2.var and obs1.value is obs2.value and obs1.unit is obs2.unit
+    assert first[2].decision is second[2].decision and first[2].edge is second[2].edge
+
+
 def test_ambiguous_label_rejected():
     cmset = dsl.parse_or_raise(
         'caremap "m" { entry s; exit e; activity a1 "Review"; activity a2 "Review"; '

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import pickle
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from tasc import dsl, ingest
 from tasc.conformance import ActivityDone, BranchTaken, Observation, batch_conform, trace_to_json
 from tasc.synthesis import (
+    _encode,
     Categorical,
     CompileError,
     EdgeProbabilities,
@@ -340,3 +342,12 @@ def test_only_maps_the_entry_reaches_are_checked():
     with pytest.raises(MissingAnnotation, match="lone.d") as caught:
         compile_stm(cmset, "lone", TransitionModel())
     assert caught.value.state == "lone.d"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["plain", "caf\u00e9 \u00fcber", 'say "hi"', "back\\slash", "tab\tnul\x00\x1f\x7f",
+     "astral \U0001f600 \U00010348", "lone \ud800 surrogate", ""],
+)
+def test_encode_str_matches_json_dumps(text):
+    assert _encode(text) == json.dumps(text, sort_keys=True)
