@@ -237,18 +237,7 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-# (stm, seed) in a synth pool worker, set once by the pool's initializer, so
-# the STM crosses to each worker once rather than with every chunk
-_worker_job: tuple = ()
-
-
-def _start_synth_worker(stm: synthesis.STM, seed: int) -> None:
-    global _worker_job
-    _worker_job = (stm, seed)
-
-
-def _synth_chunk(indices: range) -> str:
-    stm, seed = _worker_job
+def _synth_chunk(stm: synthesis.STM, seed: int, indices: range) -> str:
     return "".join(synthesis.generate_line(stm, seed, i) + "\n" for i in indices)
 
 
@@ -258,20 +247,17 @@ def _synth_pieces(stm: synthesis.STM, count: int, seed: int, workers: int) -> It
 
     One process yields one line per piece. A pool of k = min(workers, count,
     CPU count) processes yields one piece per chunk of at most SYNTH_CHUNK
-    traces, in order, in at least k chunks; each worker gets the STM once.
+    traces, in order, in at least k chunks (see conformance.fan_out).
     """
     yield synthesis.provenance_header(stm, seed) + "\n"
-    k = min(workers, count, os.cpu_count() or 1)
+    k = conformance.pool_size(workers, count)
     if k <= 1:
         for i in range(count):
             yield synthesis.generate_line(stm, seed, i) + "\n"
         return
-    from concurrent.futures import ProcessPoolExecutor
-
     size = min(SYNTH_CHUNK, -(-count // k))  # ceil(count / k): at least k chunks
     chunks = (range(a, min(a + size, count)) for a in range(0, count, size))
-    with ProcessPoolExecutor(k, initializer=_start_synth_worker, initargs=(stm, seed)) as pool:
-        yield from pool.map(_synth_chunk, chunks)
+    yield from conformance.fan_out(_synth_chunk, chunks, k, stm, seed)
 
 
 def _load_stm(args) -> synthesis.STM:
@@ -318,16 +304,17 @@ def cmd_synth_check(args) -> int:
     return EXIT_FINDINGS if report.max_delta > args.tolerance else EXIT_OK
 
 
-def _at_least(low: int) -> Callable[[str], int]:
-    """argparse type: an integer >= low (-n/--count >= 0, --workers >= 1)."""
+def _at_least(low: int, kind: type = int) -> Callable[[str], float]:
+    """argparse type: an integer, or a number if kind is float, >= low (NaN is not)."""
 
-    def parse(text: str) -> int:
+    def parse(text: str) -> float:
         try:
-            n = int(text)
+            n = kind(text)
         except ValueError:
             n = low - 1
-        if n < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if not n >= low:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {noun} >= {low}, got {text!r}")
         return n
 
     return parse
@@ -358,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="enumerate entry-to-terminal walks")
     p.add_argument("file", metavar="FILE")
     p.add_argument("--caremap", required=True, metavar="ID")
-    p.add_argument("--cycle-bound", type=int, default=0)
+    p.add_argument("--cycle-bound", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("conform", help="replay patient traces against a caremap set")
@@ -391,10 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="FILE")
     p.add_argument("--model", required=True, metavar="MODEL.json")
     p.add_argument("--entry", required=True, metavar="ID")
-    p.add_argument("--traces", metavar="JSONL")
-    p.add_argument("-n", "--count", type=_at_least(0))
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--traces", metavar="JSONL")
+    source.add_argument("-n", "--count", type=_at_least(0))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=0.02)
+    p.add_argument("--tolerance", type=_at_least(0, float), default=0.02)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_synth_check)
     return parser

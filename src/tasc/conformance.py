@@ -7,9 +7,8 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from tasc import criteria as C
 from tasc.model import (
@@ -708,25 +707,43 @@ class BatchSummary:
         }
 
 
-def map_chunks(fn: Callable, items: Sequence, workers: int, *args) -> list:
-    """Return [fn(*args, chunk) for each contiguous chunk of items], in chunk order.
+def pool_size(workers: int, items: int) -> int:
+    """The processes a fan-out of items uses: min(workers, items, CPU count), at least 1."""
+    return max(1, min(workers, items, os.cpu_count() or 1))
 
-    items is split into k = min(workers, len(items), CPU count) chunks. A
-    single chunk runs in this process; k > 1 chunks all run on a pool of k
-    worker processes.
+
+# (fn, shared arguments) in a pool worker, set once by the pool's initializer
+_pool_job: tuple = ()
+
+
+def _start_worker(fn: Callable, shared: tuple) -> None:
+    global _pool_job
+    _pool_job = (fn, shared)
+
+
+def _run_chunk(chunk):
+    fn, shared = _pool_job
+    return fn(*shared, chunk)
+
+
+def fan_out(fn: Callable, chunks: Iterable, k: int, *shared) -> Iterator:
+    """Yield fn(*shared, chunk) for each chunk, in chunk order.
+
+    k <= 1 runs the chunks in this process. Otherwise a pool of k processes runs
+    them, and its initializer gives each worker shared once, so a task carries
+    only its chunk.
     """
-    k = min(workers, len(items), os.cpu_count() or 1)
     if k <= 1:
-        return [fn(*args, items)]
+        for chunk in chunks:
+            yield fn(*shared, chunk)
+        return
     # Running chunk 0 here as well, while the pool runs the rest, was tried:
     # on 10,000 two-worker cohort traces it saved no time and raised the peak
     # RSS of conform from 31.8 to 35.8 MB (+13%), so the pool runs every chunk.
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = [len(items) * i // k for i in range(k + 1)]
-    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
-    with ProcessPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(partial(fn, *args), chunks))
+    with ProcessPoolExecutor(k, initializer=_start_worker, initargs=(fn, shared)) as pool:
+        yield from pool.map(_run_chunk, chunks)
 
 
 # One chunk's tally: (status counts, divergence-node counts, traces, load errors,
@@ -835,30 +852,19 @@ def batch_conform(
     workers: int = 1,
 ) -> BatchSummary:
     ordered = sorted(map(_record_of, traces), key=itemgetter(0))
-    tallies = map_chunks(_replay_counts, ordered, workers, cmset, entry_caremap)
-    return _summarize(tallies, load_errors)
-
-
-@dataclass(frozen=True)
-class _Lines:
-    """Input lines and the 1-based number of the first; a slice keeps the numbering."""
-
-    lines: list[str]
-    first: int = 1
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    def __getitem__(self, s: slice) -> "_Lines":
-        return _Lines(self.lines[s], self.first + s.start)
+    k = pool_size(workers, len(ordered))
+    bounds = [len(ordered) * i // k for i in range(k + 1)]  # k contiguous chunks
+    chunks = [ordered[a:b] for a, b in zip(bounds, bounds[1:])]
+    return _summarize(list(fan_out(_replay_counts, chunks, k, cmset, entry_caremap)), load_errors)
 
 
 def _conform_lines(
-    cmset: CaremapSet, entry_caremap: str, chunk: _Lines
+    cmset: CaremapSet, entry_caremap: str, chunk: tuple[int, list[str]]
 ) -> Union[_Tally, _Crash]:
+    """Decode, label-check and replay a chunk: (1-based number of its first line, lines)."""
     phase = _LOAD
     try:
-        records, errors = _decode_lines(chunk.lines, chunk.first)
+        records, errors = _decode_lines(chunk[1], chunk[0])
         phase = _LABELS
         _check_refs(
             cmset, (ev[1] for _, events in records for ev in events if ev[0] == "activity")
@@ -876,9 +882,13 @@ def conform_text(
 
     The lines are split into min(workers, lines, CPU count) contiguous chunks
     and each chunk is decoded to compact events and replayed where it runs
-    (see map_chunks), so only lines go to pool workers and only tallies come
+    (see fan_out), so only lines go to pool workers and only tallies come
     back; no event dataclass is built.
     """
-    lines = _Lines(text.splitlines())
+    lines = text.splitlines()
     del text  # so the text can be freed before the records are decoded (the CLI keeps no copy)
-    return _summarize(map_chunks(_conform_lines, lines, workers, cmset, entry_caremap))
+    k = pool_size(workers, len(lines))
+    bounds = [len(lines) * i // k for i in range(k + 1)]  # k contiguous chunks
+    chunks = [(a + 1, lines[a:b]) for a, b in zip(bounds, bounds[1:])]
+    del lines  # the chunks hold the lines
+    return _summarize(list(fan_out(_conform_lines, chunks, k, cmset, entry_caremap)))

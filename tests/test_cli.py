@@ -117,6 +117,15 @@ def test_paths_unknown_caremap():
     assert run("paths", LABOUR, "--caremap", "ghost") == 2
 
 
+def test_paths_negative_cycle_bound_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("paths", LABOUR, "--caremap", "labour_birth", "--cycle-bound", "-1")
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --cycle-bound: expected an integer >= 0, got '-1'" in captured.err
+
+
 def test_paths_long_chain(tmp_path, capsys):
     # one walk longer than the interpreter's default recursion limit
     n = 1500
@@ -454,6 +463,25 @@ def test_synth_pool_chunk_edges_byte_identical(n, model_path, tmp_path, monkeypa
     assert outputs[0].count(b"\n") == n + 1
 
 
+def test_pool_tasks_carry_no_model(model_path, tmp_path, capsys, inline_pool, monkeypatch):
+    # inline_pool pickles every task as a pool would and fails on a CaremapSet or STM in one
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    common = (LABOUR, "--entry", "labour_birth")
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.jsonl"
+        assert run(
+            "synth", *common, "--model", model_path, "-n", "50", "--seed", "3",
+            "--out", str(out), "--workers", workers,
+        ) == EXIT_OK
+        assert run(
+            "conform", *common, "--traces", str(out), "--format", "json", "--workers", workers,
+        ) == EXIT_OK
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert inline_pool == [2, 2]  # synth's pool, then conform's
+
+
 def test_synth_workers_capped_at_trace_count(model_path, tmp_path, inline_pool):
     outputs = []
     for workers in ("1", "64"):
@@ -625,6 +653,29 @@ def test_malformed_model_exit_three(doc, message, tmp_path, capsys):
         "-n", "1", "--seed", "0", "--out", str(tmp_path / "o.jsonl"),
     ) == EXIT_IO
     assert capsys.readouterr() == ("", message + "\n")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-0.01"])
+def test_synth_check_bad_tolerance_is_usage_error(tolerance, model_path, capsys):
+    # a NaN tolerance could never fail the check, a negative one never pass it
+    with pytest.raises(SystemExit) as exc:
+        run("synth-check", LABOUR, "--model", model_path, "--entry", "labour_birth",
+            "-n", "10", "--tolerance", tolerance)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --tolerance: expected a number >= 0, got '{tolerance}'" in captured.err
+
+
+def test_synth_check_traces_with_count_is_usage_error(tmp_path, capsys):
+    # refused before the (absent) model or traces file is read, which would exit 3
+    with pytest.raises(SystemExit) as exc:
+        run("synth-check", LABOUR, "--model", str(tmp_path / "none.json"),
+            "--entry", "labour_birth", "--traces", str(tmp_path / "none.jsonl"), "-n", "5")
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument -n/--count: not allowed with argument --traces" in captured.err
 
 
 def test_synth_check_needs_input():

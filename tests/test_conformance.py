@@ -425,6 +425,19 @@ def test_batch_workers_capped_at_trace_count(inline_pool):
     assert inline_pool == ([cap] if cap > 1 else [])
 
 
+def test_batch_pool_tasks_carry_no_caremap_set(inline_pool, monkeypatch):
+    # inline_pool pickles every task as a pool would and fails on a CaremapSet in one
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cmset = dsl.parse_or_raise(DECIDER)
+    traces = [
+        T(f"t{i}", Observation("glucose", 6.0 + (i % 4), "mmol/L"), ActivityDone("a"))
+        for i in range(40)
+    ]
+    serial = batch_conform(cmset, "m", traces, workers=1)
+    assert batch_conform(cmset, "m", traces, workers=4) == serial
+    assert inline_pool == [4]
+
+
 def test_conform_text_matches_batch_conform():
     cmset = dsl.parse_or_raise(DECIDER)
     traces = [
